@@ -8,6 +8,7 @@ engine itself.
 import random
 
 from repro.lsm.block import Block, BlockBuilder
+from repro.lsm.iterator import merge_internal
 from repro.lsm.memtable import MemTable
 from repro.lsm.options import Options
 from repro.lsm.table_builder import TableBuilder
@@ -85,3 +86,48 @@ def test_table_point_lookups(benchmark):
         return sum(reader.get(p) is not None for p in probes)
 
     assert benchmark(run) == len(probes)
+
+
+def test_merge_internal(benchmark):
+    # 8 sorted sources with interleaved user keys and some keys in several
+    # sources at different sequence numbers.
+    sources = [
+        [
+            (make_internal_key(f"key{i:08d}".encode(), 100 - s, TYPE_VALUE), b"v")
+            for i in range(s, 8000, 8 if s % 2 else 4)
+        ]
+        for s in range(8)
+    ]
+    total = sum(len(source) for source in sources)
+
+    def run():
+        return sum(1 for _ in merge_internal([iter(source) for source in sources]))
+
+    assert benchmark(run) == total
+
+
+def test_compaction_kernel(benchmark):
+    # Read 4 overlapping tables, merge them and rebuild one table: the
+    # per-entry path of a compaction (block decode, heap merge, block and
+    # filter build).
+    env = LocalEnv(LocalDevice(SimClock()))
+    options = Options(block_size=4096, block_cache_bytes=0)
+    readers = []
+    for t in range(4):
+        name = f"in{t}.sst"
+        builder = TableBuilder(options, env.new_writable_file(name))
+        for i in range(t, 8000, 4):
+            ikey = make_internal_key(f"key{i:08d}".encode(), 10 + t, TYPE_VALUE)
+            builder.add(ikey, b"v" * 100)
+        builder.finish()
+        readers.append(TableReader(options, env.new_random_access_file(name)))
+
+    def run():
+        out = TableBuilder(options, env.new_writable_file("out.sst"))
+        for ikey, value in merge_internal([iter(reader) for reader in readers]):
+            out.add(ikey, value)
+        entries = out.finish().num_entries
+        env.delete_file("out.sst")
+        return entries
+
+    assert benchmark(run) == 8000

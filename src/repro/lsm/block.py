@@ -21,11 +21,14 @@ Comparator = Callable[[bytes, bytes], int]
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
+    """Length of the common prefix of ``a`` and ``b``.
+
+    XOR of the two prefixes read as big-endian integers: its highest set
+    bit lies in the first differing byte, so the bytes below it match.
+    """
     n = min(len(a), len(b))
-    i = 0
-    while i < n and a[i] == b[i]:
-        i += 1
-    return i
+    diff = int.from_bytes(a[:n], "big") ^ int.from_bytes(b[:n], "big")
+    return n - (diff.bit_length() + 7) // 8
 
 
 class BlockBuilder:
@@ -50,11 +53,12 @@ class BlockBuilder:
         else:
             shared = _shared_prefix_len(self._last_key, key)
         non_shared = len(key) - shared
-        self._buffer += encode_varint(shared)
-        self._buffer += encode_varint(non_shared)
-        self._buffer += encode_varint(len(value))
-        self._buffer += key[shared:]
-        self._buffer += value
+        buffer = self._buffer
+        buffer += encode_varint(shared)
+        buffer += encode_varint(non_shared)
+        buffer += encode_varint(len(value))
+        buffer += key[shared:]
+        buffer += value
         self._last_key = key
         self._counter += 1
         self.num_entries += 1
@@ -117,9 +121,33 @@ class Block:
         return key, value, value_end
 
     def _iter_from(self, offset: int, prev_key: bytes) -> Iterator[tuple[bytes, bytes]]:
-        while offset < self._restart_base:
-            key, value, offset = self._parse_entry(offset, prev_key)
-            yield key, value
+        """Entries from ``offset`` on.
+
+        Entries whose three header varints are one byte each (every
+        field below 128: the common case) are decoded inline, with the
+        same checks as :meth:`_parse_entry`; others go through it. The
+        three header bytes always lie inside the block, since ``offset``
+        is below the restart array and the restart count follows it.
+        """
+        data = self._data
+        limit = self._restart_base
+        while offset < limit:
+            shared = data[offset]
+            non_shared = data[offset + 1]
+            value_len = data[offset + 2]
+            if (shared | non_shared | value_len) < 0x80:
+                key_start = offset + 3
+                key_end = key_start + non_shared
+                offset = key_end + value_len
+                if shared > len(prev_key):
+                    raise CorruptionError("shared prefix longer than previous key")
+                if offset > limit:
+                    raise CorruptionError("entry overruns block body")
+                key = prev_key[:shared] + data[key_start:key_end]
+                yield key, data[key_end:offset]
+            else:
+                key, value, offset = self._parse_entry(offset, prev_key)
+                yield key, value
             prev_key = key
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:

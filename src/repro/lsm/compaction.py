@@ -55,8 +55,8 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
+    internal_key_order,
     make_internal_key,
-    parse_internal_key,
 )
 
 
@@ -466,10 +466,14 @@ class CompactionJob:
             # classic partial-compaction crash (orphans, inputs live).
             crash_points.reach("compaction.mid_output")
 
+        user_filter = self.options.compaction_filter
         for ikey, value in merged:
-            parsed = parse_internal_key(ikey)
-            if parsed.user_key != prev_user_key:
-                prev_user_key = parsed.user_key
+            user_key, inverted_trailer = internal_key_order(ikey)
+            trailer = -inverted_trailer
+            sequence = trailer >> 8
+            value_type = trailer & 0xFF
+            if user_key != prev_user_key:
+                prev_user_key = user_key
                 last_seq_for_key = MAX_SEQUENCE
 
             drop = False
@@ -479,36 +483,35 @@ class CompactionJob:
                 drop = True
             elif (
                 compaction.allow_tombstone_drop
-                and parsed.value_type == TYPE_DELETION
-                and parsed.sequence <= smallest_snapshot
-                and version.is_base_level_for_key(compaction.output_level, parsed.user_key)
+                and value_type == TYPE_DELETION
+                and sequence <= smallest_snapshot
+                and version.is_base_level_for_key(compaction.output_level, user_key)
             ):
                 drop = True
-            last_seq_for_key = parsed.sequence
+            last_seq_for_key = sequence
 
             if drop:
                 dropped += 1
-                self._account_blob_drop(parsed.value_type, value, blob_drops)
+                self._account_blob_drop(value_type, value, blob_drops)
                 continue
 
-            user_filter = self.options.compaction_filter
             if (
                 user_filter is not None
-                and parsed.value_type == TYPE_VALUE
-                and parsed.sequence > newest_snapshot
-                and not user_filter(parsed.user_key, value)
+                and value_type == TYPE_VALUE
+                and sequence > newest_snapshot
+                and not user_filter(user_key, value)
             ):
                 # The filter retired this entry. At the key's base level it
                 # can vanish outright; elsewhere it becomes a tombstone so
                 # older buried versions stay hidden.
                 self.stats.entries_filtered += 1
-                self._account_blob_drop(parsed.value_type, value, blob_drops)
+                self._account_blob_drop(value_type, value, blob_drops)
                 if compaction.allow_tombstone_drop and version.is_base_level_for_key(
-                    compaction.output_level, parsed.user_key
+                    compaction.output_level, user_key
                 ):
                     dropped += 1
                     continue
-                ikey = make_internal_key(parsed.user_key, parsed.sequence, TYPE_DELETION)
+                ikey = make_internal_key(user_key, sequence, TYPE_DELETION)
                 value = b""
 
             if builder is None:

@@ -16,49 +16,38 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     compare_internal,
+    internal_key_order,
     parse_internal_key,
 )
 
 InternalEntry = tuple[bytes, bytes]  # (internal_key, value)
 
 
-class _HeapKey:
-    """Orders heap items by internal-key comparator, then source index.
-
-    Ties on identical internal keys cannot happen across live sources
-    (sequence numbers are unique), but the source index keeps the heap
-    total-ordered regardless.
-    """
-
-    __slots__ = ("ikey", "index")
-
-    def __init__(self, ikey: bytes, index: int) -> None:
-        self.ikey = ikey
-        self.index = index
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c < 0
-        return self.index < other.index
-
-
 def merge_internal(sources: list[Iterator[InternalEntry]]) -> Iterator[InternalEntry]:
-    """K-way merge of internal iterators into one ordered stream."""
-    heap: list[tuple[_HeapKey, bytes, Iterator[InternalEntry]]] = []
+    """K-way merge of internal iterators into one ordered stream.
+
+    Heap items are ``(user_key, -trailer, source_index, ikey, value,
+    source)``: the first two fields are :func:`internal_key_order`, so
+    ``heapq`` compares items in C. Ties on identical internal keys cannot
+    happen across live sources (sequence numbers are unique), but the
+    source index keeps the heap total-ordered regardless and stops the
+    comparison before it reaches the payload fields.
+    """
+    heap: list[tuple[bytes, int, int, bytes, bytes, Iterator[InternalEntry]]] = []
     for index, source in enumerate(sources):
         for ikey, value in source:
-            heap.append((_HeapKey(ikey, index), value, source))
+            heap.append(internal_key_order(ikey) + (index, ikey, value, source))
             break
     heapq.heapify(heap)
+    heapreplace, heappop = heapq.heapreplace, heapq.heappop
     while heap:
-        heap_key, value, source = heap[0]
-        yield heap_key.ikey, value
-        for ikey, next_value in source:
-            heapq.heapreplace(heap, (_HeapKey(ikey, heap_key.index), next_value, source))
+        _user_key, _trailer, index, ikey, value, source = heap[0]
+        yield ikey, value
+        for ikey, value in source:
+            heapreplace(heap, internal_key_order(ikey) + (index, ikey, value, source))
             break
         else:
-            heapq.heappop(heap)
+            heappop(heap)
 
 
 def visible_user_entries(
@@ -80,6 +69,22 @@ def visible_user_entries(
         if parsed.value_type == TYPE_DELETION:
             continue
         yield parsed.user_key, value
+
+
+class _ReverseHeapKey:
+    """Max-heap adaptor: largest internal key first, then source index."""
+
+    __slots__ = ("ikey", "index")
+
+    def __init__(self, ikey: bytes, index: int) -> None:
+        self.ikey = ikey
+        self.index = index
+
+    def __lt__(self, other: "_ReverseHeapKey") -> bool:
+        c = compare_internal(self.ikey, other.ikey)
+        if c != 0:
+            return c > 0
+        return self.index < other.index
 
 
 def merge_internal_reverse(
@@ -106,18 +111,6 @@ def merge_internal_reverse(
             break
         else:
             heapq.heappop(heap)
-
-
-class _ReverseHeapKey(_HeapKey):
-    """Max-heap adaptor: largest internal key first."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: "_HeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c > 0
-        return self.index < other.index
 
 
 def visible_user_entries_reverse(

@@ -38,11 +38,11 @@ from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
-    InternalKeyOrder,
     compare_internal,
     decode_fixed32,
     encode_fixed32,
     extract_user_key,
+    internal_key_order,
     make_internal_key,
 )
 from repro.util.varint import (
@@ -291,7 +291,7 @@ class SortedView:
                         entries.append((key, value))
                     if clipped:
                         break
-            entries.sort(key=lambda pair: InternalKeyOrder(pair[0]))
+            entries.sort(key=lambda pair: internal_key_order(pair[0]))
             yield from reversed(entries)
 
     def point_candidates(
@@ -415,9 +415,9 @@ def rebuild_view(
         return SortedView(stamp, dict(tables), list(old.segments)), stats
 
     window_lo = min(
-        (user_key_anchor(run.smallest) for run in changed), key=InternalKeyOrder
+        (user_key_anchor(run.smallest) for run in changed), key=internal_key_order
     )
-    window_hi = max((run.largest for run in changed), key=InternalKeyOrder)
+    window_hi = max((run.largest for run in changed), key=internal_key_order)
     anchors = [seg.anchor for seg in old.segments]
     count = len(anchors)
     prefix_end = 0
@@ -455,7 +455,7 @@ def rebuild_view(
                 mid_hi is None or compare_internal(anchor, mid_hi) < 0
             ):
                 mid_anchor_set.add(anchor)
-    mid_anchors = sorted(mid_anchor_set, key=InternalKeyOrder)
+    mid_anchors = sorted(mid_anchor_set, key=internal_key_order)
     mid_segments: list[ViewSegment] = []
     for i, anchor in enumerate(mid_anchors):
         nxt = mid_anchors[i + 1] if i + 1 < len(mid_anchors) else mid_hi
@@ -478,7 +478,7 @@ def _full_build(stamp: int, tables: dict[int, TableRun]) -> SortedView:
         anchor_set.add(user_key_anchor(run.smallest))
         for ref in run.blocks:
             anchor_set.add(user_key_anchor(ref.last_key))
-    anchors = sorted(anchor_set, key=InternalKeyOrder)
+    anchors = sorted(anchor_set, key=internal_key_order)
     segments = []
     for i, anchor in enumerate(anchors):
         nxt = anchors[i + 1] if i + 1 < len(anchors) else None

@@ -24,7 +24,7 @@ from repro.lsm.format import (
 )
 from repro.lsm.options import Options
 from repro.storage.env import WritableFile
-from repro.util.encoding import compare_internal, extract_user_key
+from repro.util.encoding import internal_key_order
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +68,7 @@ class TableBuilder:
         self._props = TableProperties()
         self._block_first_key: bytes | None = None
         self._last_key: bytes | None = None
+        self._last_order: tuple[bytes, int] | None = None
         self._filter_keys: list[bytes] = []
         self._block_filter_keys: list[bytes] = []
         self._partition_filters: list[bytes] = []
@@ -85,19 +86,22 @@ class TableBuilder:
         """Append an entry; internal keys must be strictly increasing."""
         if self._finished:
             raise InvalidArgumentError("add() after finish()")
-        if self._last_key is not None and compare_internal(self._last_key, key) >= 0:
+        order = internal_key_order(key)
+        if self._last_order is not None and order <= self._last_order:
             raise InvalidArgumentError("keys added out of order")
+        props = self._props
         if self._block_first_key is None:
             self._block_first_key = key
-        if self._props.num_entries == 0:
-            self._props.smallest_key = key
+        if props.num_entries == 0:
+            props.smallest_key = key
         self._data_block.add(key, value)
-        user_key = extract_user_key(key)
+        user_key = order[0]
         self._filter_keys.append(user_key)
         self._block_filter_keys.append(user_key)
         self._last_key = key
-        self._props.num_entries += 1
-        self._props.largest_key = key
+        self._last_order = order
+        props.num_entries += 1
+        props.largest_key = key
         if self._data_block.current_size_estimate() >= self.options.block_size:
             self._flush_data_block()
 

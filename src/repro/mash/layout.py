@@ -22,7 +22,7 @@ exactly the ablation of experiment E8/E12b.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -53,20 +53,18 @@ class _FileBlocks:
     """Sorted block ranges of one table (user-key space)."""
 
     metas: list[BlockMeta]
+    first_user_keys: list[bytes] = field(default_factory=list)
     last_user_keys: list[bytes] = field(default_factory=list)
 
     def __post_init__(self) -> None:
+        self.first_user_keys = [extract_user_key(m.first_key) for m in self.metas]
         self.last_user_keys = [extract_user_key(m.last_key) for m in self.metas]
 
     def blocks_overlapping(self, lo: bytes, hi: bytes) -> list[BlockMeta]:
         """Blocks whose user-key range intersects [lo, hi]."""
         start = bisect_left(self.last_user_keys, lo)
-        out = []
-        for meta in self.metas[start:]:
-            if extract_user_key(meta.first_key) > hi:
-                break
-            out.append(meta)
-        return out
+        stop = bisect_right(self.first_user_keys, hi, lo=start)
+        return self.metas[start:stop]
 
 
 class BlockHeatTracker:
@@ -127,16 +125,10 @@ class BlockHeatTracker:
             fb = self._files.get(file_name)
             if fb is None:
                 continue
-            for block in fb.metas:
+            for block, lo, hi in zip(fb.metas, fb.first_user_keys, fb.last_user_keys):
                 heat = self.heat_of(file_name, block.handle.offset)
                 if heat > 0:
-                    contributions.append(
-                        (
-                            extract_user_key(block.first_key),
-                            extract_user_key(block.last_key),
-                            heat,
-                        )
-                    )
+                    contributions.append((lo, hi, heat))
         if not contributions:
             return []
 
@@ -144,10 +136,15 @@ class BlockHeatTracker:
         for output in event.outputs:
             out_name = name_of(output.meta.number)
             fb = self._files.get(out_name)
-            if fb is None:
+            if fb is None or not fb.metas:
                 continue
+            # A contribution outside the file's key range overlaps none of
+            # its blocks; skipping it leaves every sum below unchanged.
+            file_lo, file_hi = fb.first_user_keys[0], fb.last_user_keys[-1]
             inherited: dict[int, float] = {}
             for lo, hi, heat in contributions:
+                if hi < file_lo or lo > file_hi:
+                    continue
                 overlapping = fb.blocks_overlapping(lo, hi)
                 if not overlapping:
                     continue

@@ -37,10 +37,17 @@ class _FileState:
     def size(self) -> int:
         return len(self.durable) + len(self.pending)
 
-    def view(self) -> bytes:
-        if not self.pending:
-            return bytes(self.durable)
-        return bytes(self.durable) + bytes(self.pending)
+    def read(self, offset: int, end: int) -> bytes:
+        """``(durable + pending)[offset:end]``, copying only those bytes."""
+        start, stop, _ = slice(offset, end).indices(self.size)
+        if start >= stop:
+            return b""
+        split = len(self.durable)
+        if stop <= split:
+            with memoryview(self.durable) as durable:
+                return bytes(durable[start:stop])
+        tail = self.pending[max(0, start - split) : stop - split]
+        return bytes(self.durable[start:]) + bytes(tail)
 
 
 class LocalDevice(ClockCharged):
@@ -121,9 +128,9 @@ class LocalDevice(ClockCharged):
         if self.faults is not None:
             self.faults.check(f"local.read({name})")
         state = self._require(name)
-        data = state.view()
-        end = len(data) if length is None else min(len(data), offset + length)
-        chunk = data[offset:end]
+        size = state.size
+        end = size if length is None else min(size, offset + length)
+        chunk = state.read(offset, end)
         cost = self.model.read_cost(len(chunk))
         self.clock.advance(cost)
         if self.tracer is not None:

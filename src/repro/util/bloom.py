@@ -8,7 +8,12 @@ it before touching data blocks. The guarantee tested by the property suite is
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
+
+_WORD_STRUCTS = tuple(struct.Struct(f"<{count}I") for count in range(32))
+"""``_WORD_STRUCTS[n]`` reads ``n`` little-endian 32-bit words: keys up to
+127 bytes hash with a prebuilt struct."""
 
 
 def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
@@ -24,22 +29,19 @@ def _bloom_hash(data: bytes, seed: int = 0xBC9F1D34) -> int:
     rates then track the ``0.6185^bits`` theory at every size.
     """
     m = 0xC6A4A793
-    h = (seed ^ (len(data) * m)) & 0xFFFFFFFF
-    i, n = 0, len(data)
-    while n - i >= 4:
-        w = int.from_bytes(data[i : i + 4], "little")
-        h = (h + w) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    n = len(data)
+    h = (seed ^ (n * m)) & 0xFFFFFFFF
+    words = n >> 2
+    if words < len(_WORD_STRUCTS):
+        unpack = _WORD_STRUCTS[words].unpack_from
+    else:
+        unpack = struct.Struct(f"<{words}I").unpack_from
+    for w in unpack(data):
+        h = ((h + w) * m) & 0xFFFFFFFF
         h ^= h >> 16
-        i += 4
-    rest = n - i
-    if rest >= 3:
-        h = (h + (data[i + 2] << 16)) & 0xFFFFFFFF
-    if rest >= 2:
-        h = (h + (data[i + 1] << 8)) & 0xFFFFFFFF
-    if rest >= 1:
-        h = (h + data[i]) & 0xFFFFFFFF
-        h = (h * m) & 0xFFFFFFFF
+    if n & 3:
+        # The 1–3 trailing bytes, added as one little-endian integer.
+        h = ((h + int.from_bytes(data[words << 2 :], "little")) * m) & 0xFFFFFFFF
         h ^= h >> 24
     # murmur3 fmix32: full avalanche over the 32-bit state.
     h ^= h >> 16

@@ -3,9 +3,10 @@
 The LSM engine stores *internal keys*: the user key followed by an 8-byte
 trailer packing a 56-bit sequence number and an 8-bit value type, exactly as
 LevelDB/RocksDB do. Internal keys sort by user key ascending, then sequence
-number **descending** (newest first), then type descending — which the
-byte-level trailer encoding below preserves when compared with the custom
-comparator :func:`compare_internal`.
+number **descending** (newest first), then type descending. That order has
+one definition, :func:`internal_key_order`: the tuple ``(user_key,
+-trailer)``, which Python compares in C. :func:`compare_internal` is the
+three-way form of the same order.
 """
 
 from __future__ import annotations
@@ -82,42 +83,34 @@ def extract_user_key(ikey: bytes) -> bytes:
     return ikey[:-8]
 
 
+def internal_key_order(ikey: bytes) -> tuple[bytes, int]:
+    """Sort key of an internal key: ``(user_key, -trailer)``.
+
+    The trailer packs ``(sequence << 8) | type``, so negating it orders a
+    user key's entries by sequence, then type, descending (newest first).
+    Tuples compare element by element in C, which makes this the cheap
+    form of the internal comparator for ``sorted``, ``min``/``max`` and
+    heaps.
+    """
+    split = len(ikey) - 8
+    if split < 0:
+        raise CorruptionError(f"internal key too short: {len(ikey)} bytes")
+    return ikey[:split], -_FIXED64.unpack_from(ikey, split)[0]
+
+
 def compare_internal(a: bytes, b: bytes) -> int:
     """Three-way comparison of two internal keys.
 
     Orders by user key ascending, then by sequence/type *descending* so the
-    newest entry for a user key is encountered first during iteration.
+    newest entry for a user key is encountered first during iteration —
+    the order of :func:`internal_key_order`.
     """
-    ua, ub = extract_user_key(a), extract_user_key(b)
-    if ua < ub:
-        return -1
-    if ua > ub:
-        return 1
-    ta = decode_fixed64(a, len(a) - 8)
-    tb = decode_fixed64(b, len(b) - 8)
-    if ta > tb:  # larger (seq, type) sorts first
-        return -1
-    if ta < tb:
-        return 1
-    return 0
-
-
-class InternalKeyOrder:
-    """Key-function adaptor making internal keys usable with ``sorted``.
-
-    ``sorted(keys, key=InternalKeyOrder)`` yields internal-comparator order.
-    """
-
-    __slots__ = ("ikey",)
-
-    def __init__(self, ikey: bytes) -> None:
-        self.ikey = ikey
-
-    def __lt__(self, other: "InternalKeyOrder") -> bool:
-        return compare_internal(self.ikey, other.ikey) < 0
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, InternalKeyOrder) and compare_internal(self.ikey, other.ikey) == 0
-
-    def __hash__(self) -> int:
-        return hash(self.ikey)
+    split_a, split_b = len(a) - 8, len(b) - 8
+    if split_a < 0 or split_b < 0:
+        raise CorruptionError(f"internal key too short: {min(len(a), len(b))} bytes")
+    ua, ub = a[:split_a], b[:split_b]
+    if ua != ub:
+        return -1 if ua < ub else 1
+    ta: int = _FIXED64.unpack_from(a, split_a)[0]
+    tb: int = _FIXED64.unpack_from(b, split_b)[0]
+    return (ta < tb) - (ta > tb)  # larger (seq, type) sorts first

@@ -13,8 +13,14 @@ MAX_VARINT32_LEN = 5
 MAX_VARINT64_LEN = 10
 
 
+_ONE_BYTE = tuple(bytes((value,)) for value in range(0x80))
+"""Encodings of the one-byte varints, 0 to 127."""
+
+
 def encode_varint(value: int) -> bytes:
     """Encode a non-negative integer as a varint."""
+    if 0 <= value < 0x80:
+        return _ONE_BYTE[value]
     if value < 0:
         raise ValueError(f"varint cannot encode negative value {value}")
     out = bytearray()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import CorruptionError
 from repro.lsm.block import Block, BlockBuilder
+from repro.util.encoding import encode_fixed32
 from repro.util.skiplist import default_compare
 
 
@@ -109,6 +110,22 @@ class TestBlockRead:
         block = Block(bad, default_compare)
         with pytest.raises(CorruptionError):
             list(block)
+
+    def test_corrupt_entry_overrun_on_inline_path(self):
+        # One-byte header (shared=0, non_shared=3, value_len=100) whose
+        # value runs past the restart array.
+        bad = bytes([0, 3, 100]) + b"keyvalue" + encode_fixed32(0) + encode_fixed32(1)
+        with pytest.raises(CorruptionError, match="overruns"):
+            list(Block(bad, default_compare))
+
+    def test_corrupt_shared_prefix_after_first_entry(self):
+        good = bytes([0, 1, 1]) + b"kv"
+        bad_entry = bytes([5, 1, 1]) + b"kv"  # shares 5 bytes of a 1-byte key
+        data = good + bad_entry + encode_fixed32(0) + encode_fixed32(1)
+        it = iter(Block(data, default_compare))
+        assert next(it) == (b"k", b"v")
+        with pytest.raises(CorruptionError, match="shared prefix"):
+            next(it)
 
     def test_duplicate_keys_preserved(self):
         # The block layer itself allows equal keys (internal keys never

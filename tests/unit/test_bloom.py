@@ -1,6 +1,52 @@
 """Unit tests for the bloom filter policy."""
 
-from repro.util.bloom import BloomFilterPolicy
+import hashlib
+
+import pytest
+
+from repro.util.bloom import BloomFilterPolicy, _bloom_hash
+
+# Pinned outputs of the bloom hash. Every filter in the store (and the
+# Monkey/E25 false-positive figures measured on them) depends on these bits.
+GOLDEN_HASHES = [
+    (b"", 0x3F177186),
+    (b"a", 0xC550CB8F),
+    (b"ab", 0x5BB998E4),
+    (b"abc", 0x6D747A10),
+    (b"abcd", 0xD76FA46F),
+    (b"abcde", 0x50674C98),
+    (b"abcdef", 0x03DE6246),
+    (b"abcdefg", 0xE2432852),
+    (b"abcdefgh", 0xF5434319),
+    (b"abcdefghi", 0xD99864F2),
+    (b"\x00", 0x48CBA172),
+    (b"\xff\xff\xff\xff\xff", 0x7C0AD448),
+    (b"user0000000000", 0xE3C5191E),
+    (b"user0000000001", 0xDFE8E803),
+    (b"user0000000009", 0x9DF7CB7D),
+    (b"user0000000010", 0xF19FA13E),
+    (b"user0000012345", 0x9645E5E2),
+    (b"user9999999999", 0x0E6A395A),
+    (bytes(range(256)) * 2 + b"xyz", 0x31B103EE),  # longer than the prebuilt structs
+]
+
+
+class TestBloomHashGolden:
+    @pytest.mark.parametrize(("key", "expected"), GOLDEN_HASHES)
+    def test_hash_is_pinned(self, key, expected):
+        assert _bloom_hash(key) == expected
+
+    @pytest.mark.parametrize(
+        ("bits_per_key", "digest"),
+        [
+            (10, "ba586c84997abc65527148e3df9c85af22b0dc96530536cb04140f919020a8d7"),
+            (7, "a5b80a7f357912ebf194e0e2ef0a66edf35894b59f0f58ab03a65a0b37aebc41"),
+        ],
+    )
+    def test_filter_bytes_are_pinned(self, bits_per_key, digest):
+        keys = [b"user%010d" % i for i in range(1000)]
+        filt = BloomFilterPolicy(bits_per_key).create_filter(keys)
+        assert hashlib.sha256(filt).hexdigest() == digest
 
 
 class TestBloom:

@@ -7,13 +7,13 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
-    InternalKeyOrder,
     compare_internal,
     decode_fixed32,
     decode_fixed64,
     encode_fixed32,
     encode_fixed64,
     extract_user_key,
+    internal_key_order,
     make_internal_key,
     parse_internal_key,
 )
@@ -96,5 +96,5 @@ class TestInternalOrder:
             make_internal_key(b"a", 2, TYPE_VALUE),
             make_internal_key(b"a", 9, TYPE_VALUE),
         ]
-        ordered = sorted(keys, key=InternalKeyOrder)
+        ordered = sorted(keys, key=internal_key_order)
         assert ordered == [keys[2], keys[1], keys[0]]

@@ -1,5 +1,8 @@
 """Unit tests for the merge/visibility iterator machinery."""
 
+import pytest
+
+from repro.errors import CorruptionError
 from repro.lsm.iterator import clamp_to_range, merge_internal, visible_user_entries
 from repro.util.encoding import TYPE_DELETION, TYPE_VALUE, make_internal_key
 
@@ -35,6 +38,18 @@ class TestMergeInternal:
         assert len(merged) == 20
         keys = [e[0] for e in merged]
         assert keys == sorted(keys)
+
+    def test_short_key_is_corruption(self):
+        with pytest.raises(CorruptionError):
+            list(merge_internal([iter([(b"short", b"v")])]))
+
+    def test_short_key_mid_stream_is_corruption(self):
+        s1 = [(ik(b"a", 1), b"a1"), (b"bad", b"v")]
+        s2 = [(ik(b"b", 1), b"b1")]
+        merged = merge_internal([iter(s1), iter(s2)])
+        assert next(merged) == (ik(b"a", 1), b"a1")
+        with pytest.raises(CorruptionError):
+            list(merged)
 
 
 class TestVisibility:

@@ -26,9 +26,9 @@ from repro.lsm.sortedview import (
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_VALUE,
-    InternalKeyOrder,
     compare_internal,
     extract_user_key,
+    internal_key_order,
     make_internal_key,
 )
 
@@ -51,7 +51,7 @@ def build_runs(key_sets, entries_per_block=3):
                 (make_internal_key(k, number, TYPE_VALUE), b"v%d:%s" % (number, k))
                 for k in key_set
             ),
-            key=lambda e: InternalKeyOrder(e[0]),
+            key=lambda e: internal_key_order(e[0]),
         )
         if not entries:
             continue
@@ -79,7 +79,7 @@ def build_runs(key_sets, entries_per_block=3):
             for i, key_set in enumerate(key_sets)
             for k in key_set
         ),
-        key=lambda e: InternalKeyOrder(e[0]),
+        key=lambda e: internal_key_order(e[0]),
     )
     return tables, source, merged
 

@@ -105,6 +105,32 @@ class TestTableBuilder:
         with pytest.raises(InvalidArgumentError):
             builder.add(make_internal_key(b"a", 1, TYPE_VALUE), b"v")
 
+    def test_equal_key_rejected(self, env):
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        builder.add(make_internal_key(b"k", 5, TYPE_VALUE), b"v")
+        with pytest.raises(InvalidArgumentError):
+            builder.add(make_internal_key(b"k", 5, TYPE_VALUE), b"w")
+
+    def test_same_user_key_older_sequence_first_rejected(self, env):
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        builder.add(make_internal_key(b"k", 5, TYPE_VALUE), b"old")
+        with pytest.raises(InvalidArgumentError):
+            builder.add(make_internal_key(b"k", 9, TYPE_VALUE), b"new")
+
+    def test_same_user_key_newer_sequence_first_accepted(self, env):
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        builder.add(make_internal_key(b"k", 9, TYPE_VALUE), b"new")
+        builder.add(make_internal_key(b"k", 9, TYPE_DELETION), b"")
+        builder.add(make_internal_key(b"k", 5, TYPE_VALUE), b"old")
+        builder.add(make_internal_key(b"k\x00", 1, TYPE_VALUE), b"next")
+        assert builder.num_entries == 4
+
+    def test_short_key_is_corruption(self, env):
+        builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
+        with pytest.raises(CorruptionError):
+            builder.add(b"short", b"v")
+        assert builder.num_entries == 0
+
     def test_empty_table_rejected(self, env):
         builder = TableBuilder(Options(), env.new_writable_file("t.sst"))
         with pytest.raises(InvalidArgumentError):
