@@ -7,6 +7,8 @@ engine itself.
 
 import random
 
+import pytest
+
 from repro.lsm.block import Block, BlockBuilder
 from repro.lsm.iterator import merge_internal
 from repro.lsm.memtable import MemTable
@@ -88,9 +90,11 @@ def test_table_point_lookups(benchmark):
     assert benchmark(run) == len(probes)
 
 
-def test_merge_internal(benchmark):
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_merge_internal(benchmark, reverse):
     # 8 sorted sources with interleaved user keys and some keys in several
-    # sources at different sequence numbers.
+    # sources at different sequence numbers; a reverse merge reads each
+    # source back to front.
     sources = [
         [
             (make_internal_key(f"key{i:08d}".encode(), 100 - s, TYPE_VALUE), b"v")
@@ -98,10 +102,13 @@ def test_merge_internal(benchmark):
         ]
         for s in range(8)
     ]
+    if reverse:
+        sources = [source[::-1] for source in sources]
     total = sum(len(source) for source in sources)
 
     def run():
-        return sum(1 for _ in merge_internal([iter(source) for source in sources]))
+        merged = merge_internal([iter(source) for source in sources], reverse=reverse)
+        return sum(1 for _ in merged)
 
     assert benchmark(run) == total
 

@@ -140,19 +140,7 @@ class StoreFacade:
         end: bytes | None = None,
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
-            # Close the generator inside the span: a limited scan's cleanup
-            # (version unpin, prefetch-pipeline finish + waste accounting)
-            # then runs deterministically here, not at garbage collection.
-            with closing(self.db.scan(begin, end)) as it:
-                results = []
-                for i, kv in enumerate(it):
-                    if limit is not None and i >= limit:
-                        break
-                    results.append(kv)
-        self.read_latency.record(sw.elapsed)
-        self._note_op("scan", sum(len(k) + len(v) for k, v in results))
-        return results
+        return self._scan(begin, end, limit, reverse=False)
 
     def scan_reverse(
         self,
@@ -161,15 +149,30 @@ class StoreFacade:
         limit: int | None = None,
     ) -> list[tuple[bytes, bytes]]:
         """Descending-order range scan over user keys in [begin, end)."""
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan_reverse"):
-            with closing(self.db.scan_reverse(begin, end)) as it:
+        return self._scan(begin, end, limit, reverse=True)
+
+    def _scan(
+        self,
+        begin: bytes | None,
+        end: bytes | None,
+        limit: int | None,
+        *,
+        reverse: bool,
+    ) -> list[tuple[bytes, bytes]]:
+        kind = "scan_reverse" if reverse else "scan"
+        read = self.db.scan_reverse if reverse else self.db.scan
+        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
+            # Close the generator inside the span: a limited scan's cleanup
+            # (version unpin, prefetch-pipeline finish + waste accounting)
+            # then runs deterministically here, not at garbage collection.
+            with closing(read(begin, end)) as it:
                 results = []
                 for i, kv in enumerate(it):
                     if limit is not None and i >= limit:
                         break
                     results.append(kv)
         self.read_latency.record(sw.elapsed)
-        self._note_op("scan_reverse", sum(len(k) + len(v) for k, v in results))
+        self._note_op(kind, sum(len(k) + len(v) for k, v in results))
         return results
 
     def flush(self) -> None:

@@ -11,13 +11,15 @@ blocks (separator key → encoded BlockHandle).
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from typing import TypeVar
 
 from repro.errors import CorruptionError
 from repro.util.encoding import decode_fixed32, encode_fixed32
 from repro.util.varint import decode_varint, encode_varint
 
 Comparator = Callable[[bytes, bytes], int]
+_Ref = TypeVar("_Ref")
 
 
 def _shared_prefix_len(a: bytes, b: bytes) -> int:
@@ -172,6 +174,19 @@ class Block:
                 hi = mid - 1
         return self._scan_ge(self._restarts[lo], target)
 
+    def seek_reverse(self, bound: bytes | None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with key < ``bound`` (all when None), descending.
+
+        Entries are prefix-compressed forward, so this materializes the
+        ones below the bound and hands them out back to front.
+        """
+        entries: list[tuple[bytes, bytes]] = []
+        for key, value in self._iter_from(0, b""):
+            if bound is not None and self._cmp(key, bound) >= 0:
+                break
+            entries.append((key, value))
+        return reversed(entries)
+
     def _scan_ge(self, offset: int, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         prev_key = b""
         emitting = False
@@ -185,3 +200,25 @@ class Block:
         for key, value in self.seek(target):
             return value if self._cmp(key, target) == 0 else None
         return None
+
+
+def walk_blocks(
+    refs: Iterable[_Ref],
+    load: Callable[[_Ref], Block],
+    edge: bytes | None,
+    *,
+    reverse: bool = False,
+) -> Iterator[tuple[bytes, bytes]]:
+    """Entries of a table's blocks ``refs`` (given in scan order), in scan
+    order. Each block is loaded only when the walk reaches it; the first
+    one is cut at ``edge``: forward keeps its keys >= edge, reverse its
+    keys < edge."""
+    for ref in refs:
+        block = load(ref)
+        if reverse:
+            yield from block.seek_reverse(edge)
+        elif edge is None:
+            yield from block
+        else:
+            yield from block.seek(edge)
+        edge = None

@@ -22,7 +22,7 @@ Extension points used by :mod:`repro.mash`:
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any, Protocol
 
@@ -54,7 +54,7 @@ from repro.lsm.sortedview import (
 )
 from repro.lsm.table_builder import BlockMeta, TableBuilder, TableProperties
 from repro.lsm.table_cache import LoaderWrapper, TableCache
-from repro.lsm.table_reader import BlockLoader
+from repro.lsm.table_reader import BlockLoader, TableReader
 from repro.lsm.version import FileMetaData, Version, VersionEdit, VersionSet
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.lsm.write_batch import WriteBatch
@@ -64,7 +64,6 @@ from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
     TYPE_VALUE,
-    compare_internal,
     make_internal_key,
     parse_internal_key,
 )
@@ -119,6 +118,35 @@ class ViewStore(Protocol):
     def load(self, stamp: int) -> bytes | None: ...
 
 
+class ScanPipeline(Protocol):
+    """Per-scan prefetch state, built for one scan direction (see
+    :class:`repro.mash.prefetch.ScanPrefetcher`).
+
+    ``target`` is the scan's edge: its seek key forward, its exclusive
+    bound in reverse. Level ``files`` arrive in scan order.
+    """
+
+    def seek_fanout(self, metas: Sequence[FileMetaData], target: bytes | None) -> None: ...
+
+    def view_fanout(
+        self,
+        initial: Sequence[tuple[int, BlockHandle]],
+        upcoming: Sequence[tuple[int, BlockHandle]],
+    ) -> None: ...
+
+    def view_started(self, number: int) -> None: ...
+
+    def table_started(
+        self, files: Sequence[FileMetaData], index: int, target: bytes | None
+    ) -> None: ...
+
+    def finish(self) -> None: ...
+
+
+ScanPipelineFactory = Callable[[bytes | None, bytes | None, bool], ScanPipeline | None]
+"""``(begin, end, reverse) -> pipeline | None``: one pipeline per scan."""
+
+
 class DB:
     """An LSM-tree key–value store over an :class:`Env`."""
 
@@ -146,12 +174,11 @@ class DB:
         self.block_fetch_hook = None
         """Optional callable ``(path, file_name)`` observing block-read
         outcomes (e.g. ``("dram_hit", name)``); set by the store facade."""
-        self.scan_pipeline_factory = None
-        """Optional ``(begin, end) -> pipeline | None`` building per-scan
-        prefetch state (see :class:`repro.mash.prefetch.ScanPrefetcher`);
-        the pipeline gets ``seek_fanout``/``table_started`` hooks during
-        iteration and ``finish`` when the scan ends. Set by store
-        variants — the base engine scans without one."""
+        self.scan_pipeline_factory: ScanPipelineFactory | None = None
+        """Optional ``(begin, end, reverse) -> pipeline | None`` building
+        per-scan prefetch state for one scan direction (see
+        :class:`ScanPipeline`). Set by store variants — the base engine
+        scans without one."""
         self.maintenance_hook: Callable[[], None] | None = None
         """Optional deferral hook for write-triggered maintenance. When
         set, a write that fills the memtable calls this instead of running
@@ -478,7 +505,7 @@ class DB:
             and self._view_version is self.versions.current
         )
 
-    def _view_block_source(self, pipeline: Any | None = None) -> BlockSource:
+    def _view_block_source(self, pipeline: ScanPipeline | None = None) -> BlockSource:
         """Data-block fetches for view scans, bypassing TableReader.
 
         The view already holds every block's handle, so view scans never
@@ -488,7 +515,7 @@ class DB:
         ``view_started`` so speculative branches are joined (hit) instead
         of rotting into waste.
         """
-        notify = getattr(pipeline, "view_started", None)
+        notify = pipeline.view_started if pipeline is not None else None
         started: set[int] = set()
 
         def fetch(number: int, ref: BlockRef) -> bytes:
@@ -1054,111 +1081,7 @@ class DB:
         that run while the caller consumes the scan defer deleting the
         pinned files, so live iterators are never broken.
         """
-        self._check_open()
-        sequence = snapshot.sequence if snapshot else self.versions.last_sequence
-        seek_key = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE) if begin else None
-        version = self._pin_version()
-        pipeline = (
-            self.scan_pipeline_factory(begin, end)
-            if self.scan_pipeline_factory is not None
-            else None
-        )
-        try:
-            sources = []
-            if seek_key is not None:
-                sources.append(self.memtable.seek(seek_key))
-            else:
-                sources.append(iter(self.memtable))
-            if self._view_usable():
-                assert self._sorted_view is not None
-                self.view_stats["scan_hits"] += 1
-                self._view_event("view_hit")
-                if pipeline is not None and hasattr(pipeline, "view_fanout"):
-                    initial_plan, upcoming_plan = self._view_prefetch_plan(
-                        self._sorted_view, seek_key, end
-                    )
-                    pipeline.view_fanout(initial_plan, upcoming_plan)
-                sources.append(
-                    self._sorted_view.stream(
-                        seek_key, self._view_block_source(pipeline)
-                    )
-                )
-            else:
-                if self.options.sorted_view:
-                    self.view_stats["scan_fallbacks"] += 1
-                    self._view_event("view_fallback")
-                l0_files = self._files_in_scan_range(version.files[0], begin, end)
-                level_files = [
-                    self._files_in_scan_range(version.files[level], begin, end)
-                    for level in range(1, self.options.num_levels)
-                ]
-                if pipeline is not None:
-                    # Seek fan-out: every reader the merge heap opens on its
-                    # first pull, opened as parallel branches instead of a
-                    # serial chain of cloud round trips.
-                    initial = list(l0_files) + [
-                        files[0] for files in level_files if files
-                    ]
-                    pipeline.seek_fanout(initial, seek_key)
-                for meta in l0_files:
-                    sources.append(self._table_iter(meta, seek_key))
-                for files in level_files:
-                    if files:
-                        sources.append(self._level_iter(files, seek_key, pipeline))
-            merged = merge_internal(sources)
-            yield from self._resolve_entries(
-                clamp_to_range(visible_user_entries(merged, sequence), begin, end)
-            )
-        finally:
-            if pipeline is not None:
-                pipeline.finish()
-            self._unpin_version(version)
-
-    def _view_prefetch_plan(
-        self, view: SortedView, seek_key: bytes | None, end: bytes | None
-    ) -> tuple[list[tuple[int, BlockHandle]], list[tuple[int, BlockHandle]]]:
-        """(initial, upcoming) block plans for a view scan's prefetcher.
-
-        ``initial`` is the first block each run of the seek's segment will
-        fetch — the view-path analogue of the merging iterator's seek
-        fan-out, but with the exact block handles so no reader (footer/
-        index/filter I/O) is ever opened. ``upcoming`` lists the entry
-        blocks of runs that join in later segments of the range, in
-        first-touched order, for depth-bounded speculative priming.
-        """
-        initial: list[tuple[int, BlockHandle]] = []
-        upcoming: list[tuple[int, BlockHandle]] = []
-        if not view.segments:
-            return initial, upcoming
-        start = view.locate(seek_key) if seek_key is not None else 0
-        end_ikey = (
-            make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
-            if end is not None
-            else None
-        )
-        seen: set[int] = set()
-        for i in range(start, len(view.segments)):
-            seg = view.segments[i]
-            if (
-                i > start
-                and end_ikey is not None
-                and compare_internal(seg.anchor, end_ikey) >= 0
-            ):
-                break
-            for cur in seg.cursors:
-                if cur.number in seen:
-                    continue
-                seen.add(cur.number)
-                run = view.tables[cur.number]
-                if i == start and seek_key is not None:
-                    ref = run.block_for(seek_key)
-                    if ref is None:
-                        continue
-                else:
-                    ref = run.blocks[cur.ordinal]
-                entry = (cur.number, BlockHandle(ref.offset, ref.size))
-                (initial if i == start else upcoming).append(entry)
-        return initial, upcoming
+        return self._scan(begin, end, snapshot, reverse=False)
 
     def scan_reverse(
         self,
@@ -1167,51 +1090,47 @@ class DB:
         *,
         snapshot: Snapshot | None = None,
     ) -> Iterator[tuple[bytes, bytes]]:
-        """Ordered iteration over user keys in [begin, end), *descending*.
+        """:meth:`scan` in descending user-key order."""
+        return self._scan(begin, end, snapshot, reverse=True)
 
-        Mirrors :meth:`scan` but walks every source backward. Every source
-        is reverse-seeked to the ``end`` bound first (``seek_reverse``), so
-        a tight-``end`` reverse scan never fetches the out-of-range tail
-        blocks of its tables; the range clamp stops consumption once keys
-        drop below ``begin``. The scan pipeline (when installed) fans out
-        the initial reader opens and prefetches upcoming tables in reverse
-        level order, exactly like the forward path.
+    def _scan(
+        self,
+        begin: bytes | None,
+        end: bytes | None,
+        snapshot: Snapshot | None,
+        *,
+        reverse: bool,
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """The scan body for both directions.
+
+        Every source starts at the scan's *edge*: the smallest internal
+        key of ``begin`` forward, and of the exclusive ``end`` in reverse,
+        where sources read the keys below it (``seek_reverse``), so a
+        tight-``end`` reverse scan never fetches its tables' out-of-range
+        tail blocks. The range clamp stops consumption at the far end.
         """
-        from repro.lsm.iterator import (
-            clamp_to_range_reverse,
-            merge_internal_reverse,
-            visible_user_entries_reverse,
-        )
-
         self._check_open()
         sequence = snapshot.sequence if snapshot else self.versions.last_sequence
-        bound = (
-            make_internal_key(end, MAX_SEQUENCE, TYPE_VALUE)
-            if end is not None
-            else None
-        )
+        near, far = (end, begin) if reverse else (begin, end)
+        edge = make_internal_key(near, MAX_SEQUENCE, TYPE_VALUE) if near is not None else None
         version = self._pin_version()
         pipeline = (
-            self.scan_pipeline_factory(begin, end)
+            self.scan_pipeline_factory(begin, end, reverse)
             if self.scan_pipeline_factory is not None
             else None
         )
         try:
-            if bound is not None:
-                sources = [self.memtable.seek_reverse(bound)]
-            else:
-                sources = [self.memtable.reverse_iter()]
-            if self._view_usable():
-                assert self._sorted_view is not None
+            sources = [self._seek(self.memtable, edge, reverse)]
+            view = self._sorted_view
+            if view is not None and self._view_usable():
                 self.view_stats["scan_hits"] += 1
                 self._view_event("view_hit")
-                if pipeline is not None and hasattr(pipeline, "view_fanout"):
-                    plan = self._view_reverse_prefetch_plan(self._sorted_view, bound)
-                    pipeline.view_fanout(plan, [])
+                if pipeline is not None:
+                    # The exact block each run fetches first, so no reader
+                    # (footer/index/filter I/O) is ever opened.
+                    pipeline.view_fanout(*view.prefetch_plan(edge, far, reverse=reverse))
                 sources.append(
-                    self._sorted_view.stream_reverse(
-                        bound, self._view_block_source(pipeline)
-                    )
+                    view.stream(edge, self._view_block_source(pipeline), reverse=reverse)
                 )
             else:
                 if self.options.sorted_view:
@@ -1222,25 +1141,29 @@ class DB:
                     self._files_in_scan_range(version.files[level], begin, end)
                     for level in range(1, self.options.num_levels)
                 ]
+                if reverse:
+                    level_files = [files[::-1] for files in level_files]
                 if pipeline is not None:
-                    # Reverse seek fan-out: all L0 tables plus the *last*
-                    # in-range table of each level — the readers the reverse
-                    # merge opens on its first pull.
+                    # Seek fan-out: every reader the merge heap opens on its
+                    # first pull, opened as parallel branches instead of a
+                    # serial chain of cloud round trips.
                     initial = list(l0_files) + [
-                        files[-1] for files in level_files if files
+                        files[0] for files in level_files if files
                     ]
-                    pipeline.seek_fanout(initial, bound, reverse=True)
+                    pipeline.seek_fanout(initial, edge)
                 for meta in l0_files:
-                    sources.append(self._table_reverse_iter(meta, bound))
+                    reader = self.table_cache.get_reader(meta.number)
+                    sources.append(self._seek(reader, edge, reverse))
                 for files in level_files:
                     if files:
-                        sources.append(
-                            self._level_reverse_iter(files, bound, pipeline)
-                        )
-            merged = merge_internal_reverse(sources)
+                        sources.append(self._level_iter(files, edge, pipeline, reverse))
+            merged = merge_internal(sources, reverse=reverse)
             yield from self._resolve_entries(
-                clamp_to_range_reverse(
-                    visible_user_entries_reverse(merged, sequence), begin, end
+                clamp_to_range(
+                    visible_user_entries(merged, sequence, reverse=reverse),
+                    begin,
+                    end,
+                    reverse=reverse,
                 )
             )
         finally:
@@ -1248,26 +1171,28 @@ class DB:
                 pipeline.finish()
             self._unpin_version(version)
 
-    def _view_reverse_prefetch_plan(
-        self, view: SortedView, bound: bytes | None
-    ) -> list[tuple[int, BlockHandle]]:
-        """First block each run of the bound's segment fetches (reverse).
+    @staticmethod
+    def _seek(
+        source: MemTable | TableReader, edge: bytes | None, reverse: bool
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """``source``'s entries from the scan edge on, in scan order."""
+        if reverse:
+            return source.seek_reverse(edge)
+        return source.seek(edge) if edge is not None else iter(source)
 
-        ``stream_reverse`` reads a segment's member runs forward from their
-        cursors, so the entry block per run is the cursor block itself.
-        """
-        plan: list[tuple[int, BlockHandle]] = []
-        if not view.segments:
-            return plan
-        if bound is not None and compare_internal(bound, view.segments[0].anchor) <= 0:
-            return plan
-        seg = view.segments[
-            view.locate(bound) if bound is not None else len(view.segments) - 1
-        ]
-        for cur in seg.cursors:
-            ref = view.tables[cur.number].blocks[cur.ordinal]
-            plan.append((cur.number, BlockHandle(ref.offset, ref.size)))
-        return plan
+    def _level_iter(
+        self,
+        files: list[FileMetaData],
+        edge: bytes | None,
+        pipeline: ScanPipeline | None,
+        reverse: bool,
+    ) -> Iterator[tuple[bytes, bytes]]:
+        """One level's disjoint tables, given in scan order, as one source;
+        each table's reader opens only when the walk reaches it."""
+        for index, meta in enumerate(files):
+            if pipeline is not None:
+                pipeline.table_started(files, index, edge)
+            yield from self._seek(self.table_cache.get_reader(meta.number), edge, reverse)
 
     @staticmethod
     def _files_in_scan_range(
@@ -1285,51 +1210,6 @@ class DB:
             if not (begin is not None and meta.largest_user_key < begin)
             and not (end is not None and meta.smallest_user_key >= end)
         ]
-
-    def _table_reverse_iter(
-        self, meta: FileMetaData, bound: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        reader = self.table_cache.get_reader(meta.number)
-        if bound is None:
-            return reader.reverse_iter()
-        return reader.seek_reverse(bound)
-
-    def _level_reverse_iter(
-        self,
-        files: list[FileMetaData],
-        bound: bytes | None,
-        pipeline: Any = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        def gen() -> Iterator[tuple[bytes, bytes]]:
-            ordered = list(reversed(files))
-            for index, meta in enumerate(ordered):
-                if pipeline is not None:
-                    pipeline.table_started(ordered, index, bound, reverse=True)
-                yield from self._table_reverse_iter(meta, bound)
-
-        return gen()
-
-    def _table_iter(
-        self, meta: FileMetaData, seek_key: bytes | None
-    ) -> Iterator[tuple[bytes, bytes]]:
-        reader = self.table_cache.get_reader(meta.number)
-        if seek_key is None:
-            return iter(reader)
-        return reader.seek(seek_key)
-
-    def _level_iter(
-        self,
-        files: list[FileMetaData],
-        seek_key: bytes | None,
-        pipeline: Any = None,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        def gen() -> Iterator[tuple[bytes, bytes]]:
-            for index, meta in enumerate(files):
-                if pipeline is not None:
-                    pipeline.table_started(files, index, seek_key)
-                yield from self._table_iter(meta, seek_key)
-
-        return gen()
 
     # -- snapshots ----------------------------------------------------------------------------
 

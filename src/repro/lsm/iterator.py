@@ -1,10 +1,12 @@
 """Iterator machinery: k-way merge over memtables and tables, user view.
 
 Internal iterators yield ``(internal_key, value)`` in internal-key order
-(user key ascending, sequence descending). :func:`merge_internal` performs a
-heap-based k-way merge; :func:`visible_user_entries` collapses the merged
-stream into the user-visible view at a snapshot sequence — newest visible
-entry per user key, tombstones suppressing older values.
+(user key ascending, sequence descending), or in exactly that order
+reversed for a reverse scan; every function here takes the direction as a
+``reverse`` argument. :func:`merge_internal` performs a heap-based k-way
+merge; :func:`visible_user_entries` collapses the merged stream into the
+user-visible view at a snapshot sequence — newest visible entry per user
+key, tombstones suppressing older values.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from collections.abc import Iterator
 from repro.util.encoding import (
     MAX_SEQUENCE,
     TYPE_DELETION,
-    compare_internal,
     internal_key_order,
     parse_internal_key,
 )
@@ -23,7 +24,17 @@ from repro.util.encoding import (
 InternalEntry = tuple[bytes, bytes]  # (internal_key, value)
 
 
-def merge_internal(sources: list[Iterator[InternalEntry]]) -> Iterator[InternalEntry]:
+# ``heapq``'s C max-heap primitives: public from Python 3.14, private
+# (``_``-prefixed) before that, and not in the typing stubs for 3.10.
+_heapify_max, _heapreplace_max, _heappop_max = (
+    vars(heapq).get(name) or vars(heapq)["_" + name]
+    for name in ("heapify_max", "heapreplace_max", "heappop_max")
+)
+
+
+def merge_internal(
+    sources: list[Iterator[InternalEntry]], *, reverse: bool = False
+) -> Iterator[InternalEntry]:
     """K-way merge of internal iterators into one ordered stream.
 
     Heap items are ``(user_key, -trailer, source_index, ikey, value,
@@ -32,14 +43,21 @@ def merge_internal(sources: list[Iterator[InternalEntry]]) -> Iterator[InternalE
     happen across live sources (sequence numbers are unique), but the
     source index keeps the heap total-ordered regardless and stops the
     comparison before it reaches the payload fields.
+
+    With ``reverse`` every source yields descending internal order and the
+    same items sit in a max-heap, so the output is exactly the forward
+    merge's output reversed, source-index tie-break included.
     """
     heap: list[tuple[bytes, int, int, bytes, bytes, Iterator[InternalEntry]]] = []
     for index, source in enumerate(sources):
         for ikey, value in source:
             heap.append(internal_key_order(ikey) + (index, ikey, value, source))
             break
-    heapq.heapify(heap)
-    heapreplace, heappop = heapq.heapreplace, heapq.heappop
+    if reverse:
+        heapify, heapreplace, heappop = _heapify_max, _heapreplace_max, _heappop_max
+    else:
+        heapify, heapreplace, heappop = heapq.heapify, heapq.heapreplace, heapq.heappop
+    heapify(heap)
     while heap:
         _user_key, _trailer, index, ikey, value, source = heap[0]
         yield ikey, value
@@ -51,128 +69,57 @@ def merge_internal(sources: list[Iterator[InternalEntry]]) -> Iterator[InternalE
 
 
 def visible_user_entries(
-    merged: Iterator[InternalEntry], sequence: int = MAX_SEQUENCE
+    merged: Iterator[InternalEntry],
+    sequence: int = MAX_SEQUENCE,
+    *,
+    reverse: bool = False,
 ) -> Iterator[tuple[bytes, bytes]]:
     """User-visible ``(user_key, value)`` pairs at snapshot ``sequence``.
 
-    For each user key, the first entry with seq <= sequence wins (internal
-    order puts newer entries first); a winning tombstone hides the key.
+    For each user key the newest entry with seq <= sequence wins; a winning
+    tombstone hides the key. Internal order puts a key's newest entry
+    first, so a forward stream emits the winner as soon as it meets it; a
+    reverse stream meets the key's entries oldest first and holds the
+    newest visible one until the user key changes.
     """
     current_user_key: bytes | None = None
+    settled = False  # forward: current_user_key's winner already seen
+    held: tuple[bytes, int, bytes] | None = None  # reverse: newest visible so far
     for ikey, value in merged:
         parsed = parse_internal_key(ikey)
-        if parsed.sequence > sequence:
-            continue  # not yet visible at this snapshot
-        if parsed.user_key == current_user_key:
-            continue  # older shadowed entry
-        current_user_key = parsed.user_key
-        if parsed.value_type == TYPE_DELETION:
+        if parsed.user_key != current_user_key:
+            if held is not None and held[1] != TYPE_DELETION:
+                yield held[0], held[2]
+            current_user_key, settled, held = parsed.user_key, False, None
+        if settled or parsed.sequence > sequence:
+            continue  # shadowed, or not yet visible at this snapshot
+        if reverse:
+            held = (parsed.user_key, parsed.value_type, value)
             continue
-        yield parsed.user_key, value
-
-
-class _ReverseHeapKey:
-    """Max-heap adaptor: largest internal key first, then source index."""
-
-    __slots__ = ("ikey", "index")
-
-    def __init__(self, ikey: bytes, index: int) -> None:
-        self.ikey = ikey
-        self.index = index
-
-    def __lt__(self, other: "_ReverseHeapKey") -> bool:
-        c = compare_internal(self.ikey, other.ikey)
-        if c != 0:
-            return c > 0
-        return self.index < other.index
-
-
-def merge_internal_reverse(
-    sources: list[Iterator[InternalEntry]],
-) -> Iterator[InternalEntry]:
-    """K-way merge of *reverse* internal iterators (descending order).
-
-    Sources must yield entries in descending internal-key order; the merged
-    stream does too.
-    """
-    heap: list[tuple[_ReverseHeapKey, bytes, Iterator[InternalEntry]]] = []
-    for index, source in enumerate(sources):
-        for ikey, value in source:
-            heap.append((_ReverseHeapKey(ikey, index), value, source))
-            break
-    heapq.heapify(heap)
-    while heap:
-        heap_key, value, source = heap[0]
-        yield heap_key.ikey, value
-        for ikey, next_value in source:
-            heapq.heapreplace(
-                heap, (_ReverseHeapKey(ikey, heap_key.index), next_value, source)
-            )
-            break
-        else:
-            heapq.heappop(heap)
-
-
-def visible_user_entries_reverse(
-    merged: Iterator[InternalEntry], sequence: int = MAX_SEQUENCE
-) -> Iterator[tuple[bytes, bytes]]:
-    """User-visible pairs in *descending* user-key order.
-
-    The reversed internal stream delivers each user key's entries oldest
-    first (sequence ascending), so the winner for a key is the *last*
-    visible entry seen before the key changes; it is emitted at the key
-    boundary.
-    """
-    current_key: bytes | None = None
-    candidate: tuple[int, bytes] | None = None  # (value_type, value)
-
-    def emit() -> tuple[bytes, bytes] | None:
-        if (
-            current_key is not None
-            and candidate is not None
-            and candidate[0] != TYPE_DELETION
-        ):
-            return (current_key, candidate[1])
-        return None
-
-    for ikey, value in merged:
-        parsed = parse_internal_key(ikey)
-        if parsed.user_key != current_key:
-            out = emit()
-            if out is not None:
-                yield out
-            current_key = parsed.user_key
-            candidate = None
-        if parsed.sequence <= sequence:
-            candidate = (parsed.value_type, value)
-    out = emit()
-    if out is not None:
-        yield out
-
-
-def clamp_to_range_reverse(
-    entries: Iterator[tuple[bytes, bytes]],
-    begin: bytes | None = None,
-    end: bytes | None = None,
-) -> Iterator[tuple[bytes, bytes]]:
-    """Restrict a descending user-entry stream to user keys in [begin, end)."""
-    for user_key, value in entries:
-        if end is not None and user_key >= end:
-            continue
-        if begin is not None and user_key < begin:
-            return
-        yield user_key, value
+        settled = True
+        if parsed.value_type != TYPE_DELETION:
+            yield parsed.user_key, value
+    if held is not None and held[1] != TYPE_DELETION:
+        yield held[0], held[2]
 
 
 def clamp_to_range(
     entries: Iterator[tuple[bytes, bytes]],
     begin: bytes | None = None,
     end: bytes | None = None,
+    *,
+    reverse: bool = False,
 ) -> Iterator[tuple[bytes, bytes]]:
-    """Restrict a user-entry stream to user keys in [begin, end)."""
+    """Restrict a user-entry stream to user keys in [begin, end).
+
+    Keys before the range's near edge (in scan order) are skipped; the
+    first key past its far edge ends the stream.
+    """
     for user_key, value in entries:
-        if begin is not None and user_key < begin:
+        below = begin is not None and user_key < begin
+        above = end is not None and user_key >= end
+        if below or above:
+            if below if reverse else above:
+                return
             continue
-        if end is not None and user_key >= end:
-            return
         yield user_key, value

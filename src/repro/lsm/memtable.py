@@ -94,26 +94,17 @@ class MemTable:
         for entry in self._table.seek(lookup):
             yield _decode_entry(entry)
 
-    def reverse_iter(self) -> Iterator[tuple[bytes, bytes]]:
-        """Entries in descending internal-key order.
+    def seek_reverse(self, bound: bytes | None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with internal key < ``bound`` (all when None), descending.
 
-        Materializes the (bounded, write-buffer-sized) memtable — the
-        skiplist is singly linked, so true backward traversal would need
-        back-pointers for no practical gain at memtable scale.
-        """
-        entries = [_decode_entry(e) for e in self._table]
-        return iter(reversed(entries))
-
-    def seek_reverse(self, bound: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key < ``bound``, descending.
-
-        Like :meth:`reverse_iter` but stops materializing at the bound, so
-        a tight-bound reverse scan never touches the memtable's tail.
+        Materializes the (bounded, write-buffer-sized) memtable up to the
+        bound — the skiplist is singly linked, so true backward traversal
+        would need back-pointers for no practical gain at memtable scale.
         """
         out: list[tuple[bytes, bytes]] = []
         for entry in self._table:
             ikey, value = _decode_entry(entry)
-            if compare_internal(ikey, bound) >= 0:
+            if bound is not None and compare_internal(ikey, bound) >= 0:
                 break
             out.append((ikey, value))
-        return iter(reversed(out))
+        return reversed(out)

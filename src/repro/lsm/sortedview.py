@@ -28,11 +28,13 @@ and ``repro.lsm.db``.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import CorruptionError
-from repro.lsm.block import Block
+from repro.lsm.block import Block, walk_blocks
+from repro.lsm.format import BlockHandle
 from repro.lsm.table_builder import BlockMeta
 from repro.util.crc import masked_crc32, verify_masked_crc32
 from repro.util.encoding import (
@@ -75,16 +77,30 @@ class TableRun:
     largest: bytes
     blocks: tuple[BlockRef, ...]
 
-    def block_for(self, target: bytes) -> BlockRef | None:
-        """First block whose last key is >= ``target`` (None past the end)."""
-        lo, hi = 0, len(self.blocks)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(self.blocks[mid].last_key, target) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.blocks[lo] if lo < len(self.blocks) else None
+    def ordinal_for(self, target: bytes) -> int:
+        """First block whose last key is >= ``target`` (len past the end)."""
+        return bisect_left(
+            self.blocks,
+            internal_key_order(target),
+            key=lambda ref: internal_key_order(ref.last_key),
+        )
+
+    def scan_blocks(
+        self, edge: bytes | None, cursor: int, *, reverse: bool = False
+    ) -> tuple[BlockRef, ...]:
+        """The blocks a scan of this run reads, in scan order.
+
+        From a scan edge, forward starts at the first block that can hold
+        keys >= ``edge`` and reverse at the last that can hold keys <
+        ``edge``. Without one, forward starts at the segment ``cursor``
+        and reverse at the run's last block: a run first met below the
+        scan's start segment ends inside the segment that meets it.
+        """
+        if edge is not None:
+            start = self.ordinal_for(edge)
+        else:
+            start = len(self.blocks) if reverse else cursor
+        return self.blocks[start::-1] if reverse else self.blocks[start:]
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,6 +132,10 @@ class ViewBuildStats:
 
 BlockSource = Callable[[int, "BlockRef"], bytes]
 """``(table_number, block_ref) -> verified block payload``."""
+
+
+def _anchor_order(seg: ViewSegment) -> tuple[bytes, int]:
+    return internal_key_order(seg.anchor)
 
 
 def user_key_anchor(ikey: bytes) -> bytes:
@@ -162,89 +182,82 @@ class SortedView:
         Greatest ``i`` with ``anchor[i] <= target``, clamped to 0 for
         targets below the first anchor (no keys live there anyway).
         """
-        lo, hi = 0, len(self.segments)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(self.segments[mid].anchor, target) <= 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        return max(lo - 1, 0)
+        after = bisect_right(self.segments, internal_key_order(target), key=_anchor_order)
+        return max(after - 1, 0)
 
-    def tables_for_range(
-        self, target: bytes | None, upper: bytes | None = None
-    ) -> list[int]:
-        """Table numbers a scan from ``target`` (to ``upper``) can touch,
-        in first-touched order — the prefetcher's exact fan-out list."""
-        if not self.segments:
-            return []
-        start = self.locate(target) if target is not None else 0
-        seen: set[int] = set()
-        out: list[int] = []
-        for i in range(start, len(self.segments)):
-            seg = self.segments[i]
-            if upper is not None and compare_internal(seg.anchor, upper) >= 0:
-                break
-            for cur in seg.cursors:
-                if cur.number not in seen:
-                    seen.add(cur.number)
-                    out.append(cur.number)
-        return out
+    def scan_order(self, edge: bytes | None, *, reverse: bool = False) -> range:
+        """Segment indices a scan from ``edge`` visits, in visiting order.
+
+        Forward starts at the segment holding ``edge``. Reverse reads keys
+        below ``edge``, so it starts at the last segment whose anchor is
+        below it; none when ``edge`` is at or below the first anchor.
+        """
+        count = len(self.segments)
+        if not reverse:
+            return range(self.locate(edge) if edge is not None else 0, count)
+        if edge is not None:
+            count = bisect_left(self.segments, internal_key_order(edge), key=_anchor_order)
+        return range(count - 1, -1, -1)
 
     def stream(
-        self, target: bytes | None, block_source: BlockSource
+        self, edge: bytes | None, block_source: BlockSource, *, reverse: bool = False
     ) -> Iterator[tuple[bytes, bytes]]:
-        """All internal entries >= ``target`` in internal-key order.
+        """All internal entries >= ``edge`` in internal-key order; with
+        ``reverse``, all entries < ``edge`` in exactly the reverse order.
 
         Equivalent to ``merge_internal`` over seeked table iterators, but
         with no per-key heap: within a segment at most the member runs are
-        min-picked, and a single-member segment degenerates to a straight
-        cursor walk.  Run streams are carried across segment boundaries so
-        each data block is fetched at most once.
+        picked from, and a single-member segment degenerates to a straight
+        cursor walk.  Run streams are carried across segment boundaries in
+        either direction, so each data block is fetched at most once.
         """
-        if not self.segments:
-            return
-        start = self.locate(target) if target is not None else 0
+        order = self.scan_order(edge, reverse=reverse)
         streams: dict[int, _RunStream] = {}
-        for i in range(start, len(self.segments)):
+        for i in order:
             seg = self.segments[i]
-            upper = (
-                self.segments[i + 1].anchor if i + 1 < len(self.segments) else None
-            )
+            # The segment is [anchor, next anchor); ``limit`` is the side
+            # the scan leaves it by, and a head is inside while it compares
+            # below the limit (forward) or not below it (reverse).
+            if reverse:
+                limit = seg.anchor if i > 0 else None
+            else:
+                limit = self.segments[i + 1].anchor if i + 1 < len(self.segments) else None
             active: list[_RunStream] = []
             carried: dict[int, _RunStream] = {}
             for cur in seg.cursors:
                 run_stream = streams.get(cur.number)
                 if run_stream is None:
-                    seek = target if (i == start and target is not None) else None
-                    run_stream = _RunStream(
-                        self.tables[cur.number], cur.ordinal, seek, block_source
-                    )
+                    run = self.tables[cur.number]
+                    seek = edge if i == order.start else None
+                    refs = run.scan_blocks(seek, cur.ordinal, reverse=reverse)
+                    run_stream = _RunStream(run.number, refs, seek, block_source, reverse)
                 carried[cur.number] = run_stream
                 if run_stream.head is not None:
                     active.append(run_stream)
             streams = carried
-            if not active:
-                continue
             if len(active) == 1:
                 only = active[0]
                 while only.head is not None and (
-                    upper is None or compare_internal(only.head[0], upper) < 0
+                    limit is None or (compare_internal(only.head[0], limit) < 0) != reverse
                 ):
                     yield only.head
                     only.step()
                 continue
-            while True:
+            while active:
                 best: _RunStream | None = None
                 for run_stream in active:
                     head = run_stream.head
                     if head is None:
                         continue
-                    if upper is not None and compare_internal(head[0], upper) >= 0:
+                    if limit is not None and (
+                        compare_internal(head[0], limit) < 0
+                    ) == reverse:
                         continue
+                    # Forward takes the smallest head, first run on ties;
+                    # reverse the largest, last run on ties.
                     if best is None or (
                         best.head is not None
-                        and compare_internal(head[0], best.head[0]) < 0
+                        and (compare_internal(head[0], best.head[0]) < 0) != reverse
                     ):
                         best = run_stream
                 if best is None or best.head is None:
@@ -252,47 +265,45 @@ class SortedView:
                 yield best.head
                 best.step()
 
-    def stream_reverse(
-        self, bound: bytes | None, block_source: BlockSource
-    ) -> Iterator[tuple[bytes, bytes]]:
-        """All internal entries < ``bound`` in descending internal-key order.
+    def prefetch_plan(
+        self, edge: bytes | None, far: bytes | None, *, reverse: bool = False
+    ) -> tuple[list[tuple[int, BlockHandle]], list[tuple[int, BlockHandle]]]:
+        """(initial, upcoming) entry blocks of a scan from ``edge`` to ``far``.
 
-        Walks segments from :meth:`locate`\\ (``bound``) downward; within a
-        segment, member runs are read forward from their cursors, clipped at
-        the segment/bound upper limit (blocks past the clip are never
-        fetched), sorted once, and yielded reversed.
+        ``initial`` is the first block each run of the scan's first segment
+        fetches; ``upcoming`` the first block of each run that joins in a
+        later segment of the range, in first-touched order. ``far`` is the
+        user key at the range's far end (``end`` forward, ``begin`` in
+        reverse).
         """
-        if not self.segments:
-            return
-        first_anchor = self.segments[0].anchor
-        if bound is not None and compare_internal(bound, first_anchor) <= 0:
-            return
-        start = self.locate(bound) if bound is not None else len(self.segments) - 1
-        for i in range(start, -1, -1):
-            seg = self.segments[i]
-            upper = (
-                self.segments[i + 1].anchor if i + 1 < len(self.segments) else None
-            )
-            if bound is not None and (
-                upper is None or compare_internal(bound, upper) < 0
-            ):
-                upper = bound
-            entries: list[tuple[bytes, bytes]] = []
-            for cur in seg.cursors:
-                run = self.tables[cur.number]
-                for idx, ref in enumerate(run.blocks[cur.ordinal :]):
-                    block = Block(block_source(run.number, ref), compare_internal)
-                    pairs = block.seek(seg.anchor) if idx == 0 else iter(block)
-                    clipped = False
-                    for key, value in pairs:
-                        if upper is not None and compare_internal(key, upper) >= 0:
-                            clipped = True
-                            break
-                        entries.append((key, value))
-                    if clipped:
-                        break
-            entries.sort(key=lambda pair: internal_key_order(pair[0]))
-            yield from reversed(entries)
+        initial: list[tuple[int, BlockHandle]] = []
+        upcoming: list[tuple[int, BlockHandle]] = []
+        order = self.scan_order(edge, reverse=reverse)
+        if far is not None:
+            far = make_internal_key(far, MAX_SEQUENCE, TYPE_VALUE)
+        seen: set[int] = set()
+        for i in order:
+            if i != order.start and far is not None:
+                # Segment i spans [anchor i, anchor i+1): it is out of range
+                # once it starts at/after ``end`` or ends at/before ``begin``.
+                lo, hi = (
+                    (self.segments[i + 1].anchor, far)
+                    if reverse
+                    else (far, self.segments[i].anchor)
+                )
+                if compare_internal(lo, hi) <= 0:
+                    break
+            for cur in self.segments[i].cursors:
+                if cur.number in seen:
+                    continue
+                seen.add(cur.number)
+                refs = self.tables[cur.number].scan_blocks(
+                    edge if i == order.start else None, cur.ordinal, reverse=reverse
+                )
+                if refs:
+                    plan = initial if i == order.start else upcoming
+                    plan.append((cur.number, BlockHandle(refs[0].offset, refs[0].size)))
+        return initial, upcoming
 
     def point_candidates(
         self, user_key: bytes, lookup: bytes
@@ -328,48 +339,36 @@ class SortedView:
                 <= extract_user_key(run.largest)
             ):
                 continue
-            ref = run.block_for(lookup)
-            if ref is not None:
-                out.append((run, ref))
+            ordinal = run.ordinal_for(lookup)
+            if ordinal < len(run.blocks):
+                out.append((run, run.blocks[ordinal]))
         return out
 
 
 class _RunStream:
-    """Lazy forward cursor over one run's blocks from a segment cursor.
+    """Lazy cursor over one run's blocks, in either scan direction.
 
-    Fetches blocks on demand through the block source; while seeking, whole
-    blocks below the seek target are skipped without being fetched.
+    Fetches the blocks :meth:`TableRun.scan_blocks` names on demand
+    through the block source; blocks a seek passes over are never fetched.
     """
 
     __slots__ = ("head", "_entries")
 
     def __init__(
         self,
-        run: TableRun,
-        ordinal: int,
-        seek: bytes | None,
+        number: int,
+        refs: Sequence[BlockRef],
+        edge: bytes | None,
         block_source: BlockSource,
+        reverse: bool,
     ) -> None:
-        self._entries = self._walk(run, ordinal, seek, block_source)
+        self._entries = walk_blocks(
+            refs,
+            lambda ref: Block(block_source(number, ref), compare_internal),
+            edge,
+            reverse=reverse,
+        )
         self.head: tuple[bytes, bytes] | None = next(self._entries, None)
-
-    @staticmethod
-    def _walk(
-        run: TableRun,
-        ordinal: int,
-        seek: bytes | None,
-        block_source: BlockSource,
-    ) -> Iterator[tuple[bytes, bytes]]:
-        emitted = False
-        for ref in run.blocks[ordinal:]:
-            seeking = not emitted and seek is not None
-            if seeking and compare_internal(ref.last_key, seek or b"") < 0:
-                continue  # whole block below the seek target: never fetched
-            block = Block(block_source(run.number, ref), compare_internal)
-            pairs = block.seek(seek) if seeking and seek is not None else iter(block)
-            for key, value in pairs:
-                emitted = True
-                yield key, value
 
     def step(self) -> None:
         self.head = next(self._entries, None)
@@ -420,18 +419,10 @@ def rebuild_view(
     window_hi = max((run.largest for run in changed), key=internal_key_order)
     anchors = [seg.anchor for seg in old.segments]
     count = len(anchors)
-    prefix_end = 0
-    for i in range(count):
-        nxt = anchors[i + 1] if i + 1 < count else None
-        if nxt is None or compare_internal(nxt, window_lo) > 0:
-            prefix_end = i
-            break
-    suffix_start = count
-    for i in range(count - 1, -1, -1):
-        if compare_internal(anchors[i], window_hi) > 0:
-            suffix_start = i
-        else:
-            break
+    prefix_end = old.locate(window_lo)
+    suffix_start = bisect_right(
+        anchors, internal_key_order(window_hi), key=internal_key_order
+    )
     suffix_start = max(suffix_start, prefix_end)
 
     mid_lo = anchors[prefix_end]
@@ -495,20 +486,8 @@ def _segment(
             continue
         if next_anchor is not None and compare_internal(run.smallest, next_anchor) >= 0:
             continue
-        cursors.append(SegmentCursor(run.number, _cursor_ordinal(run, anchor)))
+        cursors.append(SegmentCursor(run.number, run.ordinal_for(anchor)))
     return ViewSegment(anchor, tuple(cursors))
-
-
-def _cursor_ordinal(run: TableRun, anchor: bytes) -> int:
-    """First block whose last key is >= ``anchor`` (exists for members)."""
-    lo, hi = 0, len(run.blocks)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if compare_internal(run.blocks[mid].last_key, anchor) < 0:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def view_matches_files(

@@ -9,10 +9,11 @@ persistent cache (and the plain DRAM block cache) intercept reads.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from bisect import bisect_left
+from collections.abc import Callable, Iterable, Iterator
 
 from repro.errors import CorruptionError
-from repro.lsm.block import Block
+from repro.lsm.block import Block, walk_blocks
 from repro.lsm.format import (
     BLOCK_TRAILER_SIZE,
     FOOTER_SIZE,
@@ -29,6 +30,7 @@ from repro.util.encoding import (
     TYPE_VALUE,
     compare_internal,
     extract_user_key,
+    internal_key_order,
     make_internal_key,
 )
 
@@ -241,104 +243,57 @@ class TableReader:
             out.append((last_key, handle))
         return out
 
-    def first_data_handle(self, target: bytes | None = None) -> BlockHandle | None:
+    def _handles(
+        self, edge: bytes | None, reverse: bool = False
+    ) -> Iterator[BlockHandle]:
+        """Data-block handles a scan from ``edge`` reads, in scan order.
+
+        Index-only. Both directions start at the first block whose last
+        key is >= ``edge``: forward reads on from it; reverse reads down
+        from it (no later block can hold keys < edge), or from the last
+        block when there is none.
+        """
+        entries: Iterable[tuple[bytes, bytes]]
+        if reverse:
+            index = list(self._index)
+            first = len(index)
+            if edge is not None:
+                first = bisect_left(
+                    index, internal_key_order(edge), key=lambda e: internal_key_order(e[0])
+                )
+            entries = reversed(index[: first + 1])
+        else:
+            entries = self._index.seek(edge) if edge is not None else iter(self._index)
+        return (decode_handle(handle_bytes)[0] for _, handle_bytes in entries)
+
+    def first_data_handle(
+        self, target: bytes | None = None, *, reverse: bool = False
+    ) -> BlockHandle | None:
         """Handle of the first data block a scan from ``target`` reads.
 
         Index-only (no data-block I/O): used by the scan-prefetch pipeline
         to prime a table's opening range ahead of consumption. ``None``
-        target means iteration from the table's start; a table with no
-        block at/after ``target`` returns None.
+        target means iteration from the table's start (its end, reversed);
+        None comes back when the scan reads no block.
         """
-        index_iter = self._index.seek(target) if target is not None else iter(self._index)
-        for _, handle_bytes in index_iter:
-            handle, _ = decode_handle(handle_bytes)
-            return handle
-        return None
+        return next(self._handles(target, reverse), None)
 
     def __iter__(self) -> Iterator[tuple[bytes, bytes]]:
         """All entries in internal-key order."""
-        for _, handle_bytes in self._index:
-            handle, _ = decode_handle(handle_bytes)
-            yield from self._load_data_block(handle)
-
-    def reverse_iter(self) -> Iterator[tuple[bytes, bytes]]:
-        """All entries in *descending* internal-key order.
-
-        Blocks are visited back to front; each block's entries (forward
-        prefix-compressed) are materialized and reversed — O(one block) of
-        memory.
-        """
-        index_entries = list(self._index)
-        for _, handle_bytes in reversed(index_entries):
-            handle, _ = decode_handle(handle_bytes)
-            block_entries = list(self._load_data_block(handle))
-            yield from reversed(block_entries)
-
-    def seek_reverse(self, bound: bytes) -> Iterator[tuple[bytes, bytes]]:
-        """Entries with internal key < ``bound`` in *descending* order.
-
-        Binary-searches the index for the boundary block — the last block
-        that can hold a key below ``bound`` — and walks back to front from
-        there. Blocks wholly at/above ``bound`` are never fetched, unlike
-        :meth:`reverse_iter`, which always reads the table's entire tail.
-        """
-        index_entries = list(self._index)
-        lo, hi = 0, len(index_entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if compare_internal(index_entries[mid][0], bound) < 0:
-                lo = mid + 1
-            else:
-                hi = mid
-        # lo = first block whose last key >= bound (it may still hold keys
-        # below the bound; everything after it cannot).
-        start = lo if lo < len(index_entries) else len(index_entries) - 1
-        for i in range(start, -1, -1):
-            handle, _ = decode_handle(index_entries[i][1])
-            block_entries = list(self._load_data_block(handle))
-            if i == lo:
-                block_entries = [
-                    entry
-                    for entry in block_entries
-                    if compare_internal(entry[0], bound) < 0
-                ]
-            yield from reversed(block_entries)
-
-    def last_data_handle(self, bound: bytes | None = None) -> BlockHandle | None:
-        """Handle of the first block a reverse scan bounded by ``bound`` reads.
-
-        Index-only, mirroring :meth:`first_data_handle` for reverse scans:
-        the boundary block when ``bound`` is given, else the table's last
-        block.
-        """
-        index_entries = list(self._index)
-        if not index_entries:
-            return None
-        idx = len(index_entries) - 1
-        if bound is not None:
-            lo, hi = 0, len(index_entries)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if compare_internal(index_entries[mid][0], bound) < 0:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            if lo < len(index_entries):
-                idx = lo
-        handle, _ = decode_handle(index_entries[idx][1])
-        return handle
+        return walk_blocks(self._handles(None), self._load_data_block, None)
 
     def seek(self, target: bytes) -> Iterator[tuple[bytes, bytes]]:
         """Entries with internal key >= ``target`` in order."""
-        first_block = True
-        for _, handle_bytes in self._index.seek(target):
-            handle, _ = decode_handle(handle_bytes)
-            block = self._load_data_block(handle)
-            if first_block:
-                yield from block.seek(target)
-                first_block = False
-            else:
-                yield from block
+        return walk_blocks(self._handles(target), self._load_data_block, target)
+
+    def seek_reverse(self, bound: bytes | None) -> Iterator[tuple[bytes, bytes]]:
+        """Entries with internal key < ``bound`` (all when None), descending.
+
+        Blocks wholly at/above ``bound`` are never fetched.
+        """
+        return walk_blocks(
+            self._handles(bound, True), self._load_data_block, bound, reverse=True
+        )
 
     # -- compaction support -------------------------------------------------
 
@@ -374,17 +329,14 @@ class TableReader:
         target = None
         if begin is not None:
             target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
-        index_iter = self._index.seek(target) if target is not None else iter(self._index)
-        first_block = target is not None
-        for _, handle_bytes in index_iter:
-            handle, _ = decode_handle(handle_bytes)
+
+        def load(handle: BlockHandle) -> Block:
             payload = block_fetch(handle) if block_fetch is not None else None
             if payload is None:
                 payload = self._loader(self.name, handle, "data")
-            block = Block(payload, compare_internal)
-            entries = block.seek(target) if first_block else iter(block)
-            first_block = False
-            for ikey, value in entries:
-                if end is not None and extract_user_key(ikey) >= end:
-                    return
-                yield ikey, value
+            return Block(payload, compare_internal)
+
+        for ikey, value in walk_blocks(self._handles(target), load, target):
+            if end is not None and extract_user_key(ikey) >= end:
+                return
+            yield ikey, value

@@ -22,7 +22,7 @@ from repro.lsm.options import Options
 from repro.lsm.wal import LogWriter, read_log_file
 from repro.sim.failure import crash_points
 from repro.storage.env import Env
-from repro.util.encoding import compare_internal, extract_user_key
+from repro.util.encoding import compare_internal, extract_user_key, internal_key_order
 from repro.util.varint import decode_varint, encode_varint, get_length_prefixed, put_length_prefixed
 
 # VersionEdit field tags.
@@ -295,22 +295,10 @@ class Version:
             if level == 0:
                 keep.sort(key=lambda m: m.number)
             else:
-                keep.sort(key=lambda m: InternalSortKey(m.smallest))
+                keep.sort(key=lambda m: internal_key_order(m.smallest))
             new.files[level] = keep
         new.check_invariants()
         return new
-
-
-class InternalSortKey:
-    """``sorted`` adaptor for internal keys (module-local convenience)."""
-
-    __slots__ = ("ikey",)
-
-    def __init__(self, ikey: bytes) -> None:
-        self.ikey = ikey
-
-    def __lt__(self, other: "InternalSortKey") -> bool:
-        return compare_internal(self.ikey, other.ikey) < 0
 
 
 class VersionSet:

@@ -10,8 +10,10 @@ work runs under a :class:`~repro.sim.clock.ForkJoinRegion` on forked child
 clocks, so its simulated latency overlaps consumption of the current table
 and only the *uncovered* remainder reaches the parent clock at join.
 
-One :class:`ScanPrefetcher` exists per forward scan (built by
-``RocksMashStore`` via ``DB.scan_pipeline_factory``):
+One :class:`ScanPrefetcher` exists per scan (built by ``RocksMashStore``
+via ``DB.scan_pipeline_factory``) and is told the scan's direction once; a
+reverse scan walks levels back to front and primes the range that *ends*
+at each table's entry block:
 
 * **Seek fan-out** — at scan start the opens of all in-range L0 readers and
   each level's first in-range table run as parallel branches of one region
@@ -41,12 +43,14 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import partial
 
 from repro.lsm.format import BlockHandle, table_file_name
 from repro.lsm.table_cache import TableCache
 from repro.lsm.version import FileMetaData
 from repro.mash.readahead import ReadaheadBuffer
 from repro.sim.clock import ClockCharged, ForkJoinRegion, SimClock
+from repro.storage.env import RandomAccessFile
 
 from typing import TYPE_CHECKING
 
@@ -65,7 +69,8 @@ class PrefetchStats:
 
 
 class ScanPrefetcher:
-    """Prefetch state for one forward scan (see module docstring)."""
+    """Prefetch state for one scan (see module docstring); implements
+    :class:`repro.lsm.db.ScanPipeline`."""
 
     def __init__(
         self,
@@ -80,6 +85,7 @@ class ScanPrefetcher:
         readahead_bytes: int,
         verify: bool = True,
         on_finish: Callable[["ScanPrefetcher"], None] | None = None,
+        reverse: bool = False,
     ) -> None:
         if depth < 1:
             raise ValueError("scan prefetch depth must be >= 1")
@@ -93,6 +99,7 @@ class ScanPrefetcher:
         self.readahead_bytes = readahead_bytes
         self.verify = verify
         self.on_finish = on_finish
+        self.reverse = reverse
         self.stats = PrefetchStats()
         self.buffers: dict[str, ReadaheadBuffer] = {}
         self._pending: dict[int, ForkJoinRegion] = {}
@@ -102,47 +109,21 @@ class ScanPrefetcher:
         self._view_upcoming: deque[tuple[int, BlockHandle]] = deque()
         self._finished = False
 
-    # -- hooks called from DB.scan / DB._level_iter -------------------------
+    # -- hooks called from DB._scan / DB._level_iter ------------------------
 
-    def seek_fanout(
-        self,
-        metas: Sequence[FileMetaData],
-        target: bytes | None,
-        *,
-        reverse: bool = False,
-    ) -> None:
+    def seek_fanout(self, metas: Sequence[FileMetaData], target: bytes | None) -> None:
         """Open the scan's initial readers as parallel branches.
 
         ``metas`` are the in-range L0 files plus each level's first
-        in-range table (its *last* for a reverse scan) — exactly the
-        readers the merge heap touches on its first pull. All opens are
-        charged concurrently and joined strictly before consumption
-        starts: the seek pays one slowest open instead of a serial chain
-        of them. For reverse scans ``target`` is the exclusive upper
-        bound and priming starts at each table's boundary block.
+        in-range table in scan order — exactly the readers the merge heap
+        touches on its first pull. All opens are charged concurrently and
+        joined strictly before consumption starts: the seek pays one
+        slowest open instead of a serial chain of them. ``target`` is the
+        scan's edge; priming starts at each table's entry block for it.
         """
-        todo = [m for m in metas if m.number not in self._seen]
-        if not todo:
-            return
-        for meta in todo:
-            self._seen.add(meta.number)
-        region = ForkJoinRegion(self.clock, self.hosts)
-        for meta in todo:
-            with region.branch():
-                # The fan-out joins strictly (the seek *waits* on it), so
-                # prime only the small initial window — enough to cover the
-                # first block without making a short scan pay for a large
-                # speculative transfer. Pipelined prefetches, which never
-                # block, prime the full ``prime_bytes``.
-                self._open_and_prime(
-                    meta,
-                    target,
-                    prime_limit=ReadaheadBuffer.INITIAL_READAHEAD,
-                    reverse=reverse,
-                )
-        region.join()
-        self.stats.fanout_opens += len(todo)
-        self.tracer.event("seek_fanout")
+        self._fan_out(
+            {meta.number: partial(self._open_and_prime, meta, target) for meta in metas}
+        )
 
     def view_fanout(
         self,
@@ -160,20 +141,32 @@ class ScanPrefetcher:
         order) is primed speculatively up to ``depth`` in flight and
         joined — or written off as waste — via :meth:`view_started`.
         """
-        todo = [(n, h) for n, h in initial if n not in self._seen]
-        if todo:
-            region = ForkJoinRegion(self.clock, self.hosts)
-            for number, handle in todo:
-                self._seen.add(number)
-                with region.branch():
-                    self._prime_handle(
-                        number, handle, prime_limit=ReadaheadBuffer.INITIAL_READAHEAD
-                    )
-            region.join()
-            self.stats.fanout_opens += len(todo)
-            self.tracer.event("seek_fanout")
+        self._fan_out(
+            {number: partial(self._prime_handle, number, handle) for number, handle in initial}
+        )
         self._view_upcoming.extend(upcoming)
         self._view_top_up()
+
+    def _fan_out(self, opens: dict[int, Callable[[int], None]]) -> None:
+        """Run the opens of tables not seen yet as parallel branches.
+
+        An open is called with its prime limit. The region joins strictly
+        (the seek *waits* on it), so each open primes only the small
+        initial window — enough to cover the first block without making a
+        short scan pay for a large speculative transfer. Pipelined
+        prefetches, which never block, prime the full ``prime_bytes``.
+        """
+        todo = [(number, op) for number, op in opens.items() if number not in self._seen]
+        if not todo:
+            return
+        region = ForkJoinRegion(self.clock, self.hosts)
+        for number, op in todo:
+            self._seen.add(number)
+            with region.branch():
+                op(ReadaheadBuffer.INITIAL_READAHEAD)
+        region.join()
+        self.stats.fanout_opens += len(todo)
+        self.tracer.event("seek_fanout")
 
     def _view_top_up(self) -> None:
         """Keep up to ``depth`` of the view plan's upcoming runs in flight."""
@@ -182,83 +175,43 @@ class ScanPrefetcher:
             if number in self._seen:
                 continue
             self._seen.add(number)
-            if not self.is_cloud(self._name_of_number(number)):
+            if not self.is_cloud(self._name_of(number)):
                 continue  # local opens are cheap; open on demand
-            region = ForkJoinRegion(self.clock, self.hosts)
-            with region.branch():
-                self._prime_handle(number, handle)
-            self._pending[number] = region
-            self.stats.issued += 1
-            self.tracer.event("prefetch_issue")
+            self._issue(number, partial(self._prime_handle, number, handle))
 
     def view_started(self, number: int) -> None:
         """The view stream fetched its first block of run ``number``.
 
-        The view-scan analogue of :meth:`table_started`'s join half: the
-        run's speculative branch (if any) is merged — hidden latency costs
-        the parent nothing — and fully-hidden branches are reaped to free
-        pipeline slots.
+        The view-scan analogue of :meth:`table_started`: the run's
+        speculative branch (if any) is joined, then the pipeline is topped
+        back up from the view plan's upcoming runs.
         """
-        if number in self._ripe:
-            self._ripe.discard(number)
-            self.stats.hits += 1
-            self.tracer.event("prefetch_hit")
-        else:
-            region = self._pending.pop(number, None)
-            if region is not None:
-                region.join(strict=False)
-                self.stats.hits += 1
-                self.tracer.event("prefetch_hit")
-        self._reap_ripe()
-        source = self.buffers.get(self._name_of_number(number))
-        if source is not None:
-            # Later primed runs inherit the scan's grown window.
-            self._carry_source = source
+        self._reached(number)
         self._view_top_up()
 
     def table_started(
-        self,
-        files: Sequence[FileMetaData],
-        index: int,
-        target: bytes | None,
-        *,
-        reverse: bool = False,
+        self, files: Sequence[FileMetaData], index: int, target: bytes | None
     ) -> None:
         """A level iterator is about to consume ``files[index]``.
 
-        Joins the table's own speculative branch (its latency may already
-        be hidden), reaps branches that finished in the parent's past, then
-        tops the pipeline back up to ``depth`` in-flight prefetches from
-        this level's upcoming cloud tables.
+        ``files`` is the level in scan order. Joins the table's own
+        speculative branch, then tops the pipeline back up to ``depth``
+        in-flight prefetches from this level's upcoming cloud tables.
         """
-        number = files[index].number
-        if number in self._ripe:
-            # Prefetched, completed while other tables were consumed, and
-            # now reached: a hit that never moved the parent clock.
-            self._ripe.discard(number)
-            self.stats.hits += 1
-            self.tracer.event("prefetch_hit")
-        else:
-            self._join_if_pending(files[index])
-        self._reap_ripe()
-        name = self._name_of(files[index])
-        source = self.buffers.get(name)
-        if source is not None:
-            # New primed buffers inherit this level's grown window.
-            self._carry_source = source
+        self._reached(files[index].number)
         for meta in files[index + 1 :]:
             if len(self._pending) >= self.depth:
                 break
             if meta.number in self._seen:
                 continue
             self._seen.add(meta.number)
-            if not self.is_cloud(self._name_of(meta)):
+            if not self.is_cloud(self._name_of(meta.number)):
                 continue  # local opens are cheap; open on demand
             if self.table_cache.has_reader(meta.number) and (
                 self.prime_bytes <= 0 or self.readahead_bytes <= 0
             ):
                 continue  # already open and nothing to prime: free handoff
-            self._issue(meta, target, reverse=reverse)
+            self._issue(meta.number, partial(self._open_and_prime, meta, target))
 
     def finish(self) -> None:
         """Scan ended: abandon outstanding prefetches and unregister.
@@ -280,21 +233,38 @@ class ScanPrefetcher:
 
     # -- internals ----------------------------------------------------------
 
-    def _name_of(self, meta: FileMetaData) -> str:
-        return table_file_name(self.table_cache.prefix, meta.number)
-
-    def _name_of_number(self, number: int) -> str:
+    def _name_of(self, number: int) -> str:
         return table_file_name(self.table_cache.prefix, number)
 
-    def _issue(
-        self, meta: FileMetaData, target: bytes | None, *, reverse: bool = False
-    ) -> None:
+    def _issue(self, number: int, prime: Callable[[], None]) -> None:
+        """Open and prime table ``number`` on a back-datable branch."""
         region = ForkJoinRegion(self.clock, self.hosts)
         with region.branch():
-            self._open_and_prime(meta, target, reverse=reverse)
-        self._pending[meta.number] = region
+            prime()
+        self._pending[number] = region
         self.stats.issued += 1
         self.tracer.event("prefetch_issue")
+
+    def _reached(self, number: int) -> None:
+        """The scan reached table ``number``.
+
+        Its speculative branch (if any) is joined with merge semantics: it
+        started in the past, so work that finished before ``now`` is fully
+        hidden and the parent does not move (``prefetch_hit``). Branches
+        that finished in the parent's past are reaped, and primed buffers
+        opened from here on inherit this table's grown window.
+        """
+        region = self._pending.pop(number, None)
+        if number in self._ripe or region is not None:
+            self._ripe.discard(number)
+            if region is not None:
+                region.join(strict=False)
+            self.stats.hits += 1
+            self.tracer.event("prefetch_hit")
+        self._reap_ripe()
+        source = self.buffers.get(self._name_of(number))
+        if source is not None:
+            self._carry_source = source
 
     def _reap_ripe(self) -> None:
         """Free-join pending branches that finished in the parent's past.
@@ -318,72 +288,33 @@ class ScanPrefetcher:
             region.join(strict=False)  # delta 0: no parent movement
             self._ripe.add(number)
 
-    def _join_if_pending(self, meta: FileMetaData) -> None:
-        region = self._pending.pop(meta.number, None)
-        if region is None:
-            return
-        # Merge semantics: the branch started in the past (when the
-        # previous tables began consuming); work that finished before `now`
-        # is fully hidden and the parent does not move.
-        region.join(strict=False)
-        self.stats.hits += 1
-        self.tracer.event("prefetch_hit")
-
     def _open_and_prime(
         self,
         meta: FileMetaData,
         target: bytes | None,
         prime_limit: int | None = None,
-        *,
-        reverse: bool = False,
     ) -> None:
         reader = self.table_cache.get_reader(meta.number)
-        name = self._name_of(meta)
-        prime_bytes = self.prime_bytes
-        if prime_limit is not None:
-            prime_bytes = min(prime_bytes, prime_limit)
-        if (
-            prime_bytes <= 0
-            or self.readahead_bytes <= 0
-            or name in self.buffers
-            or not self.is_cloud(name)
-        ):
-            return
-        handle = (
-            reader.last_data_handle(target)
-            if reverse
-            else reader.first_data_handle(target)
-        )
-        if handle is None:
-            return
-        carry = (
-            self._carry_source.current_window
-            if self._carry_source is not None
-            else None
-        )
-        buffer = ReadaheadBuffer(
-            reader.file,
-            readahead_bytes=self.readahead_bytes,
-            verify=self.verify,
-            initial_window=carry,
-        )
-        if reverse:
-            buffer.prime_reverse(handle, prime_bytes)
-        else:
-            buffer.prime(handle, prime_bytes)
-        self.buffers[name] = buffer
+        handle = reader.first_data_handle(target, reverse=self.reverse)
+        if handle is not None:
+            self._prime_handle(meta.number, handle, prime_limit, reader.file)
 
     def _prime_handle(
-        self, number: int, handle: BlockHandle, prime_limit: int | None = None
+        self,
+        number: int,
+        handle: BlockHandle,
+        prime_limit: int | None = None,
+        file: RandomAccessFile | None = None,
     ) -> None:
-        """Prime a known data block without constructing a TableReader.
+        """Prime the scan's entry block ``handle`` of table ``number``.
 
-        The sorted view already resolved the exact handle, so the file is
-        opened directly — no footer/index/filter reads — and the block
-        range is pulled into a primed :class:`ReadaheadBuffer` that the
-        store's loader chain serves from when the stream arrives.
+        The sorted view already resolved the exact handle, so without an
+        open reader's ``file`` the file is opened directly — no footer/
+        index/filter reads — and the block range is pulled into a primed
+        :class:`ReadaheadBuffer` that the store's loader chain serves from
+        when the scan arrives.
         """
-        name = self._name_of_number(number)
+        name = self._name_of(number)
         prime_bytes = self.prime_bytes
         if prime_limit is not None:
             prime_bytes = min(prime_bytes, prime_limit)
@@ -394,7 +325,8 @@ class ScanPrefetcher:
             or not self.is_cloud(name)
         ):
             return
-        file = self.table_cache.env.new_random_access_file(name)
+        if file is None:
+            file = self.table_cache.env.new_random_access_file(name)
         carry = (
             self._carry_source.current_window
             if self._carry_source is not None
@@ -406,5 +338,5 @@ class ScanPrefetcher:
             verify=self.verify,
             initial_window=carry,
         )
-        buffer.prime(handle, prime_bytes)
+        buffer.prime(handle, prime_bytes, reverse=self.reverse)
         self.buffers[name] = buffer

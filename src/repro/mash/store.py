@@ -500,18 +500,18 @@ class RocksMashStore(StoreFacade):
     # -- pipelined scan prefetch ---------------------------------------------------
 
     def _make_scan_prefetcher(
-        self, begin: bytes | None, end: bytes | None
+        self, begin: bytes | None, end: bytes | None, reverse: bool = False
     ) -> ScanPrefetcher | None:
         """Per-scan prefetch pipeline (``DB.scan_pipeline_factory`` hook).
 
-        One :class:`ScanPrefetcher` per forward scan: seek fan-out of the
-        initial reader opens, then up to ``scan_prefetch_depth`` cloud
-        tables speculatively opened + primed ahead of the merge iterator
-        on forked child clocks (see :mod:`repro.mash.prefetch`). Returns
+        One :class:`ScanPrefetcher` per scan, in its direction: seek
+        fan-out of the initial reader opens, then up to
+        ``scan_prefetch_depth`` cloud tables speculatively opened + primed
+        ahead of the merge iterator on forked child clocks (see :mod:`repro.mash.prefetch`). Returns
         None while the live depth knob is 0 (the controller may have
         switched prefetch off for this phase of the workload).
         """
-        del begin, end  # pruning happens in DB.scan; the pipeline sees files
+        del begin, end  # pruning happens in DB._scan; the pipeline sees files
         if self.config.options.scan_prefetch_depth <= 0:
             return None
         prefetcher = ScanPrefetcher(
@@ -525,6 +525,7 @@ class RocksMashStore(StoreFacade):
             readahead_bytes=self.config.scan_readahead_bytes,
             verify=self.config.options.paranoid_checks,
             on_finish=self._scan_prefetchers.remove,
+            reverse=reverse,
         )
         self._scan_prefetchers.append(prefetcher)
         return prefetcher
@@ -585,20 +586,12 @@ class RocksMashStore(StoreFacade):
                 # over the per-reader buffer: it already holds the table's
                 # opening range and the level's carried window.
                 primed = self._prefetched_buffer(file_name)
-                if primed is not None:
-                    payload = primed.get(handle)
-                    if payload is not None:
-                        self.tracer.event("readahead_hit")
-                        return payload
-                else:
-                    buffer = current_readahead()
-                    if buffer is not None:
-                        payload = buffer.get(handle)
-                        if payload is not None:
-                            # Scan-resistant: readahead blocks skip pcache
-                            # admission.
-                            self.tracer.event("readahead_hit")
-                            return payload
+                buffer = primed if primed is not None else current_readahead()
+                payload = buffer.get(handle) if buffer is not None else None
+                if payload is not None:
+                    # Scan-resistant: readahead blocks skip pcache admission.
+                    self.tracer.event("readahead_hit")
+                    return payload
             payload = next_loader(file_name, handle, kind)
             if self._is_cloud_file(file_name):
                 self.tracer.event("cloud_get")

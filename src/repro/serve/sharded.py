@@ -403,28 +403,7 @@ class ShardedDB:
         concatenates in shard order — which *is* global key order under
         range partitioning — and truncates.
         """
-        touched = list(self.router.shards_for_range(begin, end))
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan"):
-            if len(touched) == 1:
-                results = _consume_scan(self.shards[touched[0]].db.scan(begin, end), limit)
-            else:
-                gathered: dict[int, list[tuple[bytes, bytes]]] = {}
-                region = ForkJoinRegion(self.op_clock, self._hosts)
-                for index in touched:
-                    with region.branch():
-                        gathered[index] = _consume_scan(
-                            self.shards[index].db.scan(begin, end), limit
-                        )
-                region.join()
-                results = [kv for index in touched for kv in gathered[index]]
-                if limit is not None:
-                    results = results[:limit]
-        self.read_latency.record(sw.elapsed)
-        result_bytes = sum(len(k) + len(v) for k, v in results)
-        for index in touched:
-            self._note_shard_op(index, "scan", result_bytes // len(touched))
-        self._drain_inline()
-        return results
+        return self._scan(begin, end, limit, reverse=False)
 
     def scan_reverse(
         self,
@@ -434,21 +413,35 @@ class ShardedDB:
     ) -> list[tuple[bytes, bytes]]:
         """Descending-order scan: same scatter-gather, shards walked from
         the top of the range downward."""
+        return self._scan(begin, end, limit, reverse=True)
+
+    def _scan(
+        self,
+        begin: bytes | None,
+        end: bytes | None,
+        limit: int | None,
+        *,
+        reverse: bool,
+    ) -> list[tuple[bytes, bytes]]:
+        kind = "scan_reverse" if reverse else "scan"
         touched = list(self.router.shards_for_range(begin, end))
-        touched.reverse()
-        with StopwatchRegion(self.op_clock) as sw, self.tracer.span("scan_reverse"):
+        if reverse:
+            touched.reverse()
+
+        def shard_scan(index: int) -> list[tuple[bytes, bytes]]:
+            db = self.shards[index].db
+            read = db.scan_reverse if reverse else db.scan
+            return _consume_scan(read(begin, end), limit)
+
+        with StopwatchRegion(self.op_clock) as sw, self.tracer.span(kind):
             if len(touched) == 1:
-                results = _consume_scan(
-                    self.shards[touched[0]].db.scan_reverse(begin, end), limit
-                )
+                results = shard_scan(touched[0])
             else:
                 gathered: dict[int, list[tuple[bytes, bytes]]] = {}
                 region = ForkJoinRegion(self.op_clock, self._hosts)
                 for index in touched:
                     with region.branch():
-                        gathered[index] = _consume_scan(
-                            self.shards[index].db.scan_reverse(begin, end), limit
-                        )
+                        gathered[index] = shard_scan(index)
                 region.join()
                 results = [kv for index in touched for kv in gathered[index]]
                 if limit is not None:
@@ -456,7 +449,7 @@ class ShardedDB:
         self.read_latency.record(sw.elapsed)
         result_bytes = sum(len(k) + len(v) for k, v in results)
         for index in touched:
-            self._note_shard_op(index, "scan_reverse", result_bytes // len(touched))
+            self._note_shard_op(index, kind, result_bytes // len(touched))
         self._drain_inline()
         return results
 

@@ -23,6 +23,19 @@ ops_strategy = st.lists(
     max_size=60,
 )
 
+# Few keys, so each one collects several versions; compactions push older
+# versions below L0 while newer ones stay in L0 and the memtable.
+few_keys = [b"k%d" % i for i in range(8)]
+versioned_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("put"), st.sampled_from(few_keys), small_values),
+        st.tuples(st.just("del"), st.sampled_from(few_keys), st.just(b"")),
+        st.tuples(st.just("flush"), st.just(b""), st.just(b"")),
+        st.tuples(st.just("compact"), st.just(b""), st.just(b"")),
+    ),
+    max_size=80,
+)
+
 PROP_SETTINGS = dict(
     max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
@@ -49,6 +62,8 @@ def apply_ops(db, ops):
         elif kind == "del":
             db.delete(k)
             model.pop(k, None)
+        elif kind == "compact":
+            db.compact_range()
         else:
             db.flush()
     return model
@@ -73,6 +88,39 @@ class TestReverseScanProp:
             ((k, v) for k, v in model.items() if begin <= k < end), reverse=True
         )
         assert list(db.scan_reverse(begin, end)) == expected
+        db.close()
+
+    @given(
+        versioned_ops,
+        st.integers(min_value=0, max_value=80),
+        st.sampled_from(few_keys + [None]),
+        st.sampled_from(few_keys + [None]),
+        st.booleans(),
+    )
+    @settings(**PROP_SETTINGS)
+    def test_reverse_at_snapshot_mirrors_forward(self, ops, snap_at, a, b, sorted_view):
+        """A snapshot taken part-way through a history of several versions
+        per key, spread over the memtable, L0 and deeper levels."""
+        begin, end = (a, b) if a is None or b is None or a <= b else (b, a)
+        db = DB.open(
+            LocalEnv(LocalDevice(SimClock())), "db/", tiny_options(sorted_view=sorted_view)
+        )
+        snap_at = min(snap_at, len(ops))
+        model = apply_ops(db, ops[:snap_at])
+        snap = db.snapshot()
+        apply_ops(db, ops[snap_at:])
+        expected = sorted(
+            (
+                (k, v)
+                for k, v in model.items()
+                if (begin is None or begin <= k) and (end is None or k < end)
+            ),
+            reverse=True,
+        )
+        got = list(db.scan_reverse(begin, end, snapshot=snap))
+        assert got == expected
+        assert got == list(db.scan(begin, end, snapshot=snap))[::-1]
+        db.release_snapshot(snap)
         db.close()
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.errors import CorruptionError
 from repro.lsm.block import _shared_prefix_len
-from repro.lsm.iterator import merge_internal, merge_internal_reverse
+from repro.lsm.iterator import merge_internal
 from repro.sim.clock import SimClock
 from repro.storage.local import LocalDevice
 from repro.util.encoding import (
@@ -87,7 +87,7 @@ class TestMergeEquivalence:
     @given(sorted_sources())
     def test_reverse_merge_equals_descending_sort(self, sources):
         reversed_sources = [iter(list(reversed(s))) for s in sources]
-        merged = list(merge_internal_reverse(reversed_sources))
+        merged = list(merge_internal(reversed_sources, reverse=True))
         keys = [e[0] for e in merged]
         by_comparator = cmp_to_key(lambda x, y: compare_internal(x[0], y[0]))
         expected = sorted(chain(*sources), key=by_comparator)

@@ -122,7 +122,7 @@ class TestStreamEquivalence:
             for e in reversed(merged)
             if bound is None or compare_internal(e[0], bound) < 0
         ]
-        assert list(view.stream_reverse(bound, source)) == expected
+        assert list(view.stream(bound, source, reverse=True)) == expected
 
     @given(run_sets)
     @settings(max_examples=80, deadline=None)
@@ -149,21 +149,23 @@ class TestStreamEquivalence:
                     break
             assert found == b"v%d:%s" % (newest, user_key)
 
-    @given(run_sets, user_keys)
+    @given(run_sets, user_keys, st.booleans())
     @settings(max_examples=60, deadline=None)
-    def test_tables_for_range_covers_every_touched_run(self, key_sets, begin):
+    def test_prefetch_plan_is_each_runs_first_block(self, key_sets, edge_user, reverse):
         tables, source, merged = build_runs(key_sets)
         view, _ = rebuild_view(1, None, tables)
-        target = make_internal_key(begin, MAX_SEQUENCE, TYPE_VALUE)
-        fanout = view.tables_for_range(target)
-        touched = set()
+        edge = make_internal_key(edge_user, MAX_SEQUENCE, TYPE_VALUE)
+        initial, upcoming = view.prefetch_plan(edge, None, reverse=reverse)
+        planned = {number: (h.offset, h.size) for number, h in initial + upcoming}
+        assert len(planned) == len(initial) + len(upcoming)
+        first_fetch = {}
 
         def counting(number, ref):
-            touched.add(number)
+            first_fetch.setdefault(number, (ref.offset, ref.size))
             return source(number, ref)
 
-        list(view.stream(target, counting))
-        assert touched <= set(fanout)
+        list(view.stream(edge, counting, reverse=reverse))
+        assert first_fetch == planned
 
 
 class TestRebuild:
